@@ -15,9 +15,8 @@ exponentials diagonalized by the FFT.
 from .avf import FixedPointConfig, eavf_step_kg, eavf_step_nls
 from .diagnostics import RunRecord, convergence_orders, energy_deviation, error_norms
 from .errors import ConvergenceError, SolverError
-from .fourier import SpectralDiagonal, apply_diagonal, dft_forward, dft_inverse
 from .grids import (ComplexField, Field, GridSpec, fd_laplacian_eigenvalues,
-                    forward_diff_norm, inner_l2, make_grid, norm_inf, norm_l2, sample,
+                    forward_diff_norm, make_grid, norm_l2, sample,
                     spectral_laplacian_eigenvalues)
 from .kg import (KgProblem, KgState, kg_init, kg_modified_energy, kg_original_energy,
                  kg_predictor, kg_step)
@@ -29,12 +28,11 @@ from .tables import ExpPhiTables, NlsTables, build_kg_tables, build_nls_tables
 __all__ = [
     "ComplexField", "ConvergenceError", "ExpPhiTables", "Field", "FixedPointConfig",
     "GridSpec", "KgProblem", "KgState", "NlsProblem", "NlsState", "NlsTables",
-    "ProblemSpec", "RunRecord", "SolverError", "SpectralDiagonal",
-    "apply_diagonal", "build_kg_tables", "build_nls_tables", "compare_driver",
-    "convergence_driver", "convergence_orders", "dft_forward", "dft_inverse",
-    "eavf_step_kg", "eavf_step_nls", "energy_deviation", "error_norms",
-    "fd_laplacian_eigenvalues", "forward_diff_norm", "inner_l2", "kg_init",
-    "kg_modified_energy", "kg_original_energy", "kg_predictor", "kg_step", "make_grid",
-    "nls_hamiltonian", "nls_init", "nls_modified_energy", "nls_predictor", "nls_step",
-    "norm_inf", "norm_l2", "run", "sample", "spectral_laplacian_eigenvalues",
+    "ProblemSpec", "RunRecord", "SolverError", "build_kg_tables", "build_nls_tables",
+    "compare_driver", "convergence_driver", "convergence_orders", "eavf_step_kg",
+    "eavf_step_nls", "energy_deviation", "error_norms", "fd_laplacian_eigenvalues",
+    "forward_diff_norm", "kg_init", "kg_modified_energy", "kg_original_energy",
+    "kg_predictor", "kg_step", "make_grid", "nls_hamiltonian", "nls_init",
+    "nls_modified_energy", "nls_predictor", "nls_step", "norm_l2", "run", "sample",
+    "spectral_laplacian_eigenvalues",
 ]

@@ -16,13 +16,15 @@ to machine precision, which is what makes the baseline conserve its own
 discrete (unmodified) energy. On chords shorter than _CHORD_CUTOFF the
 wave gradient switches from the divided difference to a 4-point Gauss rule
 on G' -- same identity up to O(du^8), but free of the eps/|du| cancellation
-noise that would otherwise keep the iteration from reaching tol. The
-implicit update is iterated from u^n until the sup-norm increment drops
-below cfg.tol.
+noise that would otherwise keep the iteration from reaching tol. Both
+implicit updates share one fixed-point loop: it iterates from u^n until the
+sup-norm increment drops below cfg.tol, and stops with ConvergenceError at
+the first non-finite increment or at the iteration cap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +32,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .fourier import apply_multipliers, forward_values, inverse_values, real_part
 from .grids import ComplexField, Field
-from .kg import KgProblem, KgState
+from .kg import KgProblem, KgState, linear_flow
 from .nls import NlsProblem, NlsState
 from .tables import ExpPhiTables, NlsTables
 
@@ -89,6 +91,23 @@ def avf_gradient_nls(u_old: np.ndarray, u_new: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fixed_point(update, u0: np.ndarray, cfg: FixedPointConfig) -> tuple[np.ndarray, int]:
+    """Iterate u <- update(u) from u0; returns (converged iterate, iteration count)."""
+    u_iter = u0
+    for it in range(1, cfg.max_iters + 1):
+        u_next = update(u_iter)
+        incr = float(np.max(np.abs(u_next - u_iter)))
+        if not math.isfinite(incr):
+            raise ConvergenceError(f"fixed point diverged at iteration {it}", iters=it)
+        u_iter = u_next
+        if incr < cfg.tol:
+            return u_iter, it
+    raise ConvergenceError(
+        f"fixed point stalled at increment {incr:g} after {cfg.max_iters} iterations",
+        iters=cfg.max_iters,
+    )
+
+
 def eavf_step_kg(state: KgState, tables: ExpPhiTables, problem: KgProblem,
                  cfg: FixedPointConfig) -> tuple[KgState, int]:
     """One implicit step; returns (new state, fixed-point iteration count)."""
@@ -96,35 +115,19 @@ def eavf_step_kg(state: KgState, tables: ExpPhiTables, problem: KgProblem,
     if tables.grid != grid:
         raise ValueError("tables built on a different grid")
     tau = tables.tau
-    u, v = state.u.values, state.v.values
+    u = state.u.values
+    zu, zv = linear_flow(u, state.v.values, tables, grid)
 
-    fu = forward_values(u.astype(np.complex128), grid)
-    fv = forward_values(v.astype(np.complex128), grid)
-    zu = real_part(inverse_values(tables.e11 * fu + tables.e12 * fv, grid))
-    zv = real_part(inverse_values(tables.e21 * fu + tables.e22 * fv, grid))
+    def phi_gradient(u_iter, phi):
+        ffb = forward_values(avf_gradient_kg(problem, u, u_iter).astype(np.complex128), grid)
+        return tau * real_part(inverse_values(phi * ffb, grid))
 
-    u_iter = u
-    for it in range(1, cfg.max_iters + 1):
-        fbar = avf_gradient_kg(problem, u, u_iter)
-        ffb = forward_values(fbar.astype(np.complex128), grid)
-        u_next = zu - tau * real_part(inverse_values(tables.p12 * ffb, grid))
-        incr = float(np.max(np.abs(u_next - u_iter)))
-        u_iter = u_next
-        if incr < cfg.tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"fixed point stalled at increment {incr:g} after {cfg.max_iters} iterations",
-            iters=cfg.max_iters,
-        )
-
-    fbar = avf_gradient_kg(problem, u, u_iter)
-    ffb = forward_values(fbar.astype(np.complex128), grid)
-    v_new = zv - tau * real_part(inverse_values(tables.p22 * ffb, grid))
+    u_new, it = _fixed_point(lambda u_iter: zu - phi_gradient(u_iter, tables.p12), u, cfg)
+    v_new = zv - phi_gradient(u_new, tables.p11)
 
     # q is not evolved by this scheme; keep it consistent with its definition
-    radicand = grid.cell * float(np.sum(problem.G(u_iter))) + problem.C0
-    new = KgState(u=Field(grid, u_iter), v=Field(grid, v_new), q=float(np.sqrt(radicand)),
+    radicand = grid.cell * float(np.sum(problem.G(u_new))) + problem.C0
+    new = KgState(u=Field(grid, u_new), v=Field(grid, v_new), q=float(np.sqrt(radicand)),
                   u_prev=state.u, n=state.n + 1, t=(state.n + 1) * tau)
     return new, it
 
@@ -140,22 +143,12 @@ def eavf_step_nls(state: NlsState, tables: NlsTables, problem: NlsProblem,
 
     eu = apply_multipliers(u, tables.expD, grid)
     coeff = 1j * problem.beta * tau
+    u_new, it = _fixed_point(
+        lambda u_iter: eu + coeff * apply_multipliers(avf_gradient_nls(u, u_iter),
+                                                      tables.sigma, grid),
+        u, cfg)
 
-    u_iter = u
-    for it in range(1, cfg.max_iters + 1):
-        fbar = avf_gradient_nls(u, u_iter)
-        u_next = eu + coeff * apply_multipliers(fbar, tables.sigma, grid)
-        incr = float(np.max(np.abs(u_next - u_iter)))
-        u_iter = u_next
-        if incr < cfg.tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"fixed point stalled at increment {incr:g} after {cfg.max_iters} iterations",
-            iters=cfg.max_iters,
-        )
-
-    radicand = grid.cell * float(np.sum(np.abs(u_iter) ** 4)) + problem.C0
-    new = NlsState(u=ComplexField(grid, u_iter), q=float(np.sqrt(radicand)),
+    radicand = grid.cell * float(np.sum(np.abs(u_new) ** 4)) + problem.C0
+    new = NlsState(u=ComplexField(grid, u_new), q=float(np.sqrt(radicand)),
                    u_prev=state.u, n=state.n + 1, t=(state.n + 1) * tau)
     return new, it

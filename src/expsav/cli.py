@@ -1,7 +1,8 @@
 """Command-line harness: run / converge / compare.
 
-Exit codes: 0 success, 2 solver failure (non-convergence or a singular
-step), 3 configuration error (bad flags, bad manifest, bad values).
+Exit codes: 0 success, 2 solver failure (non-convergence, divergence, a
+singular step, or an i/o failure), 3 configuration error (bad flags, bad
+manifest, bad values).
 """
 
 from __future__ import annotations

@@ -14,47 +14,13 @@ the same mode order as node order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grids import ComplexField, Field, GridSpec
-
-# residue above this (relative) in a should-be-real result trips the debug
-# assertion; smaller residue is silently truncated
-_IMAG_ASSERT_TOL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralDiagonal:
-    """Per-mode complex multipliers defining a frequency-space diagonal operator."""
-
-    grid: GridSpec
-    multipliers: np.ndarray
-
-    def __post_init__(self):
-        mult = np.asarray(self.multipliers, dtype=np.complex128).ravel()
-        object.__setattr__(self, "multipliers", mult)
-        if mult.size != self.grid.size:
-            raise ValueError(f"{mult.size} multipliers for {self.grid.size} modes")
-        if not np.all(np.isfinite(mult)):
-            raise ValueError("multipliers contain non-finite values")
-
-
-def dft_forward(u: ComplexField | Field) -> np.ndarray:
-    """Mode coefficients of u, flat in the same ordering as the nodes."""
-    return forward_values(u.values, u.grid)
-
-
-def dft_inverse(coeffs: np.ndarray, grid: GridSpec) -> ComplexField:
-    """Field whose forward transform is coeffs."""
-    coeffs = np.asarray(coeffs, dtype=np.complex128).ravel()
-    if coeffs.size != grid.size:
-        raise ValueError(f"{coeffs.size} coefficients for {grid.size} modes")
-    return ComplexField(grid, inverse_values(coeffs, grid))
+from .grids import GridSpec
 
 
 def forward_values(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Mode coefficients of flat node values, flat in the same ordering as the nodes."""
     if values.size != grid.size:
         raise ValueError(f"{values.size} values for {grid.size} nodes")
     if grid.dim == 1:
@@ -63,45 +29,21 @@ def forward_values(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def inverse_values(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Flat node values whose forward transform is coeffs."""
     if grid.dim == 1:
         return np.fft.ifft(coeffs)
     return np.fft.ifft2(coeffs.reshape(grid.shape)).ravel()
 
 
 def apply_multipliers(values: np.ndarray, multipliers: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Raw-array core of apply_diagonal; returns complex node values."""
+    """Apply the diagonal operator inverse(multipliers * forward(values)); complex result."""
     return inverse_values(multipliers * forward_values(values, grid), grid)
 
 
 def real_part(values: np.ndarray) -> np.ndarray:
-    """Truncate the imaginary residue of a mathematically real result."""
-    scale = max(1.0, float(np.max(np.abs(values.real), initial=0.0)))
-    assert float(np.max(np.abs(values.imag), initial=0.0)) <= _IMAG_ASSERT_TOL * scale, (
-        "imaginary residue too large; multiplier table is not conjugate-symmetric"
-    )
-    return np.ascontiguousarray(values.real)
+    """Drop the imaginary residue of a result that is real up to roundoff.
 
-
-def has_conjugate_symmetry(multipliers: np.ndarray, grid: GridSpec, tol: float = 1e-12) -> bool:
-    """True when D_{-k} = conj(D_k), i.e. the operator maps real to real."""
-    m = multipliers.reshape(grid.shape)
-    flipped = m
-    for axis in range(grid.dim):
-        flipped = np.flip(np.roll(flipped, -1, axis=axis), axis=axis)
-    scale = float(np.max(np.abs(m), initial=0.0)) or 1.0
-    return bool(np.max(np.abs(m - np.conj(flipped))) <= tol * scale)
-
-
-def apply_diagonal(u: Field | ComplexField, D: SpectralDiagonal) -> Field | ComplexField:
-    """Apply the diagonal operator: inverse(D * forward(u)).
-
-    A real input comes back as a real Field when the multipliers have
-    conjugate symmetry (the operator then preserves realness); otherwise the
-    result is a ComplexField.
+    Callers apply only tables built from a real symbol that is even in k (to
+    roundoff), so the operator maps real fields to real fields.
     """
-    if u.grid != D.grid:
-        raise ValueError("field and diagonal built on different grids")
-    out = apply_multipliers(u.values.astype(np.complex128), D.multipliers, u.grid)
-    if isinstance(u, Field) and has_conjugate_symmetry(D.multipliers, D.grid):
-        return Field(u.grid, real_part(out))
-    return ComplexField(u.grid, out)
+    return np.ascontiguousarray(values.real)

@@ -152,22 +152,8 @@ def spectral_laplacian_eigenvalues(grid: GridSpec) -> np.ndarray:
     return np.add.outer(per_axis[0], per_axis[1]).ravel()
 
 
-def inner_l2(u: Field | ComplexField, v: Field | ComplexField):
-    """Discrete L2 inner product <u, v> = cell * sum u_j conj(v_j)."""
-    if u.grid != v.grid:
-        raise ValueError("inner product requires matching grids")
-    out = u.grid.cell * np.vdot(v.values, u.values)  # vdot conjugates first arg
-    if np.isrealobj(u.values) and np.isrealobj(v.values):
-        return float(out.real)
-    return complex(out)
-
-
 def norm_l2(u: Field | ComplexField) -> float:
     return float(np.sqrt(u.grid.cell * np.vdot(u.values, u.values).real))
-
-
-def norm_inf(u: Field | ComplexField) -> float:
-    return float(np.max(np.abs(u.values)))
 
 
 def forward_diff_norm(u: Field | ComplexField) -> float:

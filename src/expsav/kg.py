@@ -16,7 +16,7 @@ step to ONE scalar equation: with w = G'(uhat), s^2 = <G(uhat), 1> + C0,
     g     = e11 u + e12 v - (tau q^n / s) * phi12 w + gamma <w, u>
     <w, u'> = <w, g> / (1 + <w, gamma>)
     u' = g - gamma <w, u'>,   q' = q + <w, u' - u>/(2 s),
-    v' = e21 u + e22 v - (tau (q+q')/(2 s)) * phi22 w.
+    v' = e21 u + e11 v - (tau (q+q')/(2 s)) * phi11 w    (e22 = e11, phi22 = phi11).
 
 The update conserves E exactly in exact arithmetic, with no nonlinear
 iteration anywhere.
@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import require_positive
 from .fourier import forward_values, inverse_values, real_part
 from .grids import Field, GridSpec, forward_diff_norm, norm_l2, sample
 from .tables import ExpPhiTables
@@ -78,9 +78,9 @@ def kg_init(problem: KgProblem) -> KgState:
     u0 = sample(grid, problem.phi1)
     v0 = sample(grid, problem.phi2)
     radicand = grid.cell * float(np.sum(problem.G(u0))) + problem.C0
-    if radicand <= 0.0:
+    if not 0.0 < radicand < np.inf:
         raise ValueError(
-            f"<G(u0), 1> + C0 = {radicand:g} is not positive; increase C0 or check G >= 0"
+            f"<G(u0), 1> + C0 = {radicand:g} is not finite and positive; check C0 and G >= 0"
         )
     return KgState(u=Field(grid, u0), v=Field(grid, v0), q=float(np.sqrt(radicand)),
                    u_prev=None, n=0, t=0.0)
@@ -93,6 +93,16 @@ def kg_predictor(state: KgState) -> Field:
     return Field(state.u.grid, 1.5 * state.u.values - 0.5 * state.u_prev.values)
 
 
+def linear_flow(u: np.ndarray, v: np.ndarray, tables: ExpPhiTables,
+                grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Exact flow exp(V)(u, v) of the linear wave system over one step."""
+    fu = forward_values(u.astype(np.complex128), grid)
+    fv = forward_values(v.astype(np.complex128), grid)
+    zu = real_part(inverse_values(tables.e11 * fu + tables.e12 * fv, grid))
+    zv = real_part(inverse_values(tables.e21 * fu + tables.e11 * fv, grid))
+    return zu, zv
+
+
 def kg_step(state: KgState, tables: ExpPhiTables, problem: KgProblem) -> KgState:
     """Advance one step of size tables.tau; returns the new state."""
     grid = problem.grid
@@ -103,26 +113,20 @@ def kg_step(state: KgState, tables: ExpPhiTables, problem: KgProblem) -> KgState
     u, v, q = state.u.values, state.v.values, state.q
 
     uhat = kg_predictor(state).values
-    s2 = cell * float(np.sum(problem.G(uhat))) + problem.C0
-    if s2 <= 0.0:
-        raise SolverError(f"<G(uhat), 1> + C0 = {s2:g} is not positive")
+    s2 = require_positive(cell * float(np.sum(problem.G(uhat))) + problem.C0,
+                          "<G(uhat), 1> + C0")
     s = np.sqrt(s2)
     w = problem.Gp(uhat)
 
-    fu = forward_values(u.astype(np.complex128), grid)
-    fv = forward_values(v.astype(np.complex128), grid)
+    zu, zv = linear_flow(u, v, tables, grid)
     fw = forward_values(w.astype(np.complex128), grid)
-    zu = real_part(inverse_values(tables.e11 * fu + tables.e12 * fv, grid))
-    zv = real_part(inverse_values(tables.e21 * fu + tables.e22 * fv, grid))
     phi12_w = real_part(inverse_values(tables.p12 * fw, grid))
-    phi22_w = real_part(inverse_values(tables.p22 * fw, grid))
+    phi22_w = real_part(inverse_values(tables.p11 * fw, grid))
 
     gamma = (tau / (4.0 * s2)) * phi12_w
     g = zu - (tau * q / s) * phi12_w + gamma * (cell * float(w @ u))
 
-    denom = 1.0 + cell * float(w @ gamma)
-    if denom <= 0.0:
-        raise SolverError(f"scalar-solve denominator {denom:g} <= 0; tables are corrupted")
+    denom = require_positive(1.0 + cell * float(w @ gamma), "scalar-solve denominator")
     w_dot_unew = cell * float(w @ g) / denom
 
     u_new = g - gamma * w_dot_unew

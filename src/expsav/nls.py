@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import SolverError, require_positive
 from .fourier import apply_multipliers
 from .grids import ComplexField, GridSpec, sample, spectral_laplacian_eigenvalues
 from .tables import NlsTables
@@ -71,9 +71,9 @@ def nls_init(problem: NlsProblem) -> NlsState:
     grid = problem.grid
     u0 = sample(grid, problem.u0).astype(np.complex128)
     radicand = grid.cell * float(np.sum(np.abs(u0) ** 4)) + problem.C0
-    if radicand <= 0.0:
+    if not 0.0 < radicand < np.inf:
         raise ValueError(
-            f"<|u0|^4, 1> + C0 = {radicand:g} is not positive; increase C0"
+            f"<|u0|^4, 1> + C0 = {radicand:g} is not finite and positive; check C0"
         )
     return NlsState(u=ComplexField(grid, u0), q=float(np.sqrt(radicand)),
                     u_prev=None, n=0, t=0.0)
@@ -97,9 +97,7 @@ def nls_step(state: NlsState, tables: NlsTables, problem: NlsProblem) -> NlsStat
 
     uhat = nls_predictor(state).values
     abs2 = np.abs(uhat) ** 2
-    s2 = cell * float(np.sum(abs2**2)) + problem.C0
-    if s2 <= 0.0:
-        raise SolverError(f"<|uhat|^4, 1> + C0 = {s2:g} is not positive")
+    s2 = require_positive(cell * float(np.sum(abs2**2)) + problem.C0, "<|uhat|^4, 1> + C0")
     s = np.sqrt(s2)
     gamma = (abs2 * uhat) / s
 
@@ -112,6 +110,8 @@ def nls_step(state: NlsState, tables: NlsTables, problem: NlsProblem) -> NlsStat
     a = cell * np.vdot(phi_gamma, gamma)             # <gamma, Phi gamma>
 
     # [[1 - a/2, -a/2], [-conj(a)/2, 1 - conj(a)/2]] @ (X, Y) = (<gamma,b>, <b,gamma>)
+    if not np.isfinite(a):
+        raise SolverError(f"2x2 closure coefficient <gamma, Phi gamma> is non-finite ({a:g})")
     det = 1.0 - a.real
     if abs(det) < _DET_TOL * (1.0 + abs(a)):
         raise SolverError(f"2x2 closure is singular (det = {det:g}); tables are corrupted")

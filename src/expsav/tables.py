@@ -33,7 +33,10 @@ _SERIES_CUTOFF = 1e-4
 
 @dataclass(frozen=True, eq=False)
 class ExpPhiTables:
-    """Per-mode 2x2 blocks of exp(V) and phi(V) for the wave stepper."""
+    """Per-mode 2x2 blocks of exp(V) and phi(V) for the wave stepper.
+
+    Each block's two diagonal entries are equal, so e11/p11 also serve as e22/p22.
+    """
 
     grid: GridSpec
     tau: float
@@ -41,11 +44,9 @@ class ExpPhiTables:
     e11: np.ndarray
     e12: np.ndarray
     e21: np.ndarray
-    e22: np.ndarray
     p11: np.ndarray
     p12: np.ndarray
     p21: np.ndarray
-    p22: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,19 +96,16 @@ def build_kg_tables(grid: GridSpec, lam: np.ndarray, omega: float, tau: float) -
     x = tau * mu
     s1 = sin_over_x(x)
     c2 = versine_over_x2(x)
-    cos_x = np.cos(x)
     return ExpPhiTables(
         grid=grid,
         tau=float(tau),
         omega=float(omega),
-        e11=cos_x,
+        e11=np.cos(x),
         e12=tau * s1,
         e21=-tau * mu2 * s1,
-        e22=cos_x.copy(),
         p11=s1,
         p12=tau * c2,
         p21=-tau * mu2 * c2,
-        p22=s1.copy(),
     )
 
 

@@ -14,6 +14,14 @@ from scipy.linalg import expm
 from expsav.grids import GridSpec
 
 
+def inner_l2(u, v):
+    """Discrete L2 inner product <u, v> = cell * sum u_j conj(v_j) of two fields."""
+    out = u.grid.cell * np.vdot(v.values, u.values)  # vdot conjugates its first argument
+    if np.isrealobj(u.values) and np.isrealobj(v.values):
+        return float(out.real)
+    return complex(out)
+
+
 def naive_dft(u: np.ndarray) -> np.ndarray:
     """O(N^2) forward DFT matching the unnormalized convention."""
     n = u.size

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from expsav.catalog import get_entry, sech
+from expsav.errors import SolverError
 from expsav.grids import Field, fd_laplacian_eigenvalues, make_grid
 from expsav.kg import (KgProblem, KgState, kg_init, kg_modified_energy, kg_original_energy,
                        kg_predictor, kg_step)
@@ -161,6 +164,31 @@ def test_step_rejects_foreign_tables():
     tables = build_kg_tables(other, fd_laplacian_eigenvalues(other), 1.0, 0.1)
     with pytest.raises(ValueError):
         kg_step(kg_init(problem), tables, problem)
+
+
+@pytest.mark.parametrize("G,message", [
+    (lambda u: np.full_like(u, np.nan), r"<G\(uhat\), 1> \+ C0 is non-finite \(nan\)"),
+    (lambda u: np.full_like(u, np.inf), r"<G\(uhat\), 1> \+ C0 is non-finite \(inf\)"),
+    (lambda u: np.full_like(u, -1.0), r"<G\(uhat\), 1> \+ C0 = -\d.* is not positive"),
+])
+def test_step_rejects_bad_radicand(G, message):
+    grid = make_grid(-1, 1, 8, 1)
+    problem = sine_gordon_problem(grid)
+    tables = build_kg_tables(grid, fd_laplacian_eigenvalues(grid), 1.0, 0.1)
+    state = kg_init(problem)
+    with pytest.raises(SolverError, match=message):
+        kg_step(state, tables, dataclasses.replace(problem, G=G))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1e6])
+def test_step_rejects_bad_denominator(bad):
+    grid = make_grid(-1, 1, 8, 1)
+    problem = sine_gordon_problem(grid)
+    tables = build_kg_tables(grid, fd_laplacian_eigenvalues(grid), 1.0, 0.1)
+    corrupted = dataclasses.replace(tables, p12=np.full(grid.size, bad))
+    state = random_state(problem, np.random.default_rng(3), 0.1)
+    with pytest.raises(SolverError, match="scalar-solve denominator"):
+        kg_step(state, corrupted, problem)
 
 
 # ---------------------------------------------------------------- energies

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from expsav.catalog import get_entry, sech
+from expsav.errors import SolverError
 from expsav.diagnostics import convergence_orders, error_norms
 from expsav.grids import ComplexField, make_grid, spectral_laplacian_eigenvalues
 from expsav.nls import (NlsProblem, NlsState, nls_hamiltonian, nls_init, nls_kinetic,
@@ -97,6 +100,29 @@ def test_step_matches_dense_oracle_2d():
     u_ref, q_ref = oracles.dense_nls_step(state, problem, lam, tau)
     np.testing.assert_allclose(new.u.values, u_ref, atol=1e-11)
     assert new.q == pytest.approx(q_ref, abs=1e-11)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_step_rejects_nonfinite_closure(bad):
+    grid = make_grid(0, 2 * np.pi, 8, 1)
+    problem = NlsProblem(grid=grid, beta=2.0, u0=lambda x: np.zeros_like(x, dtype=complex),
+                         C0=0.5)
+    tables = build_nls_tables(grid, spectral_laplacian_eigenvalues(grid), 0.01)
+    corrupted = dataclasses.replace(tables, sigma=np.full(grid.size, bad, dtype=complex))
+    state = random_state(problem, np.random.default_rng(4), 0.01)
+    with pytest.raises(SolverError, match="<gamma, Phi gamma> is non-finite"):
+        nls_step(state, corrupted, problem)
+
+
+def test_step_rejects_nonfinite_radicand():
+    grid = make_grid(0, 2 * np.pi, 8, 1)
+    problem = NlsProblem(grid=grid, beta=2.0, u0=lambda x: np.zeros_like(x, dtype=complex),
+                         C0=np.inf)
+    tables = build_nls_tables(grid, spectral_laplacian_eigenvalues(grid), 0.01)
+    state = random_state(dataclasses.replace(problem, C0=0.5), np.random.default_rng(5), 0.01)
+    with pytest.raises(SolverError, match=r"<\|uhat\|\^4, 1> \+ C0 is non-finite \(inf\)"):
+        nls_step(state, tables, problem)
 
 
 def test_conjugate_pair_structure():

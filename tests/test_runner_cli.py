@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import expsav
 from expsav.catalog import CATALOG, CatalogEntry, register
 from expsav.cli import main
 from expsav.kg import KgProblem
@@ -231,3 +237,60 @@ def test_cli_compare(tmp_path, capsys):
     lines = (tmp_path / "compare.csv").read_text().splitlines()
     assert lines[0].startswith("scheme,")
     assert len(lines) == 3
+
+
+# ---------------------------------------------------------------- failure paths
+
+# a step far beyond the stable range: the eavfs fixed point blows up
+DIVERGING_EAVFS = ["run", "--problem", "kg2d_cubic", "--tau", "4", "--t-end", "40",
+                   "--n", "16", "--scheme", "eavfs"]
+DIVERGED_MSG = "expsav: solver failure: fixed point diverged at iteration 9\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv,message", [
+    (DIVERGING_EAVFS, DIVERGED_MSG),
+    (["run", "--problem", "nls1d_soliton", "--tau", "5", "--t-end", "50", "--n", "16",
+      "--scheme", "eavfs"], "expsav: solver failure: fixed point diverged at iteration 7\n"),
+])
+def test_cli_eavfs_divergence_fails_fast(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_esavs_overflow_is_a_solver_failure(capsys):
+    # the modified energy drifts off until |uhat|^4 overflows at step 54
+    assert main(["run", "--problem", "nls2d_planewave", "--tau", "3", "--t-end", "300",
+                 "--n", "8"]) == 2
+    assert capsys.readouterr().err == (
+        "expsav: solver failure: <|uhat|^4, 1> + C0 is non-finite (inf)\n")
+
+
+@pytest.mark.parametrize("c0", ["nan", "inf"])
+@pytest.mark.parametrize("problem", ["sg1d", "nls1d_soliton"])
+def test_cli_nonfinite_initial_radicand_is_a_config_error(problem, c0, capsys):
+    assert main(["run", "--problem", problem, "--n", "16", "--c0", c0, "--t-end", "0.1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("expsav: config error:")
+    assert f"= {c0} is not finite and positive" in err
+
+
+def test_cli_unwritable_out_is_an_io_failure(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    assert main(["run", "--problem", "sg1d", "--n", "16", "--tau", "0.1", "--t-end", "0.2",
+                 "--out", str(blocker / "out")]) == 2
+    assert capsys.readouterr().err.startswith("expsav: i/o failure:")
+
+
+def test_cli_divergence_same_under_optimize():
+    # runtime checks must not be asserts, which python -O strips
+    src = str(Path(expsav.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-O", "-W", "ignore", "-m", "expsav.cli",
+                           *DIVERGING_EAVFS], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == DIVERGED_MSG
