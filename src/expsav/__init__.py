@@ -19,9 +19,9 @@ from .grids import (ComplexField, Field, GridSpec, fd_laplacian_eigenvalues,
                     forward_diff_norm, make_grid, norm_l2, sample,
                     spectral_laplacian_eigenvalues)
 from .kg import (KgProblem, KgState, kg_init, kg_modified_energy, kg_original_energy,
-                 kg_predictor, kg_step)
+                 kg_step)
 from .nls import (NlsProblem, NlsState, nls_hamiltonian, nls_init, nls_modified_energy,
-                  nls_predictor, nls_step)
+                  nls_step)
 from .runner import ProblemSpec, compare_driver, convergence_driver, run
 from .tables import ExpPhiTables, NlsTables, build_kg_tables, build_nls_tables
 
@@ -32,7 +32,7 @@ __all__ = [
     "compare_driver", "convergence_driver", "convergence_orders", "eavf_step_kg",
     "eavf_step_nls", "energy_deviation", "error_norms", "fd_laplacian_eigenvalues",
     "forward_diff_norm", "kg_init", "kg_modified_energy", "kg_original_energy",
-    "kg_predictor", "kg_step", "make_grid", "nls_hamiltonian", "nls_init",
-    "nls_modified_energy", "nls_predictor", "nls_step", "norm_l2", "run", "sample",
+    "kg_step", "make_grid", "nls_hamiltonian", "nls_init", "nls_modified_energy",
+    "nls_step", "norm_l2", "run", "sample",
     "spectral_laplacian_eigenvalues",
 ]

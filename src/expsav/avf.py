@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .fourier import apply_multipliers, forward_values, inverse_values, real_part
-from .grids import ComplexField, Field
 from .kg import KgProblem, KgState, linear_flow
 from .nls import NlsProblem, NlsState
 from .tables import ExpPhiTables, NlsTables
@@ -127,9 +126,7 @@ def eavf_step_kg(state: KgState, tables: ExpPhiTables, problem: KgProblem,
 
     # q is not evolved by this scheme; keep it consistent with its definition
     radicand = grid.cell * float(np.sum(problem.G(u_new))) + problem.C0
-    new = KgState(u=Field(grid, u_new), v=Field(grid, v_new), q=float(np.sqrt(radicand)),
-                  u_prev=state.u, n=state.n + 1, t=(state.n + 1) * tau)
-    return new, it
+    return state.advance(tau, u_new, np.sqrt(radicand), v=v_new), it
 
 
 def eavf_step_nls(state: NlsState, tables: NlsTables, problem: NlsProblem,
@@ -149,6 +146,4 @@ def eavf_step_nls(state: NlsState, tables: NlsTables, problem: NlsProblem,
         u, cfg)
 
     radicand = grid.cell * float(np.sum(np.abs(u_new) ** 4)) + problem.C0
-    new = NlsState(u=ComplexField(grid, u_new), q=float(np.sqrt(radicand)),
-                   u_prev=state.u, n=state.n + 1, t=(state.n + 1) * tau)
-    return new, it
+    return state.advance(tau, u_new, np.sqrt(radicand)), it

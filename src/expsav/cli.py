@@ -13,8 +13,8 @@ from pathlib import Path
 
 from .catalog import CATALOG, get_entry
 from .errors import SolverError
-from .runner import (ProblemSpec, compare_driver, convergence_driver, parse_manifest, run,
-                     spec_from_mapping, write_compare_csv, write_ladder_csv)
+from .runner import (MANIFEST_KEYS, ProblemSpec, compare_driver, convergence_driver,
+                     parse_manifest, run, spec_from_mapping, write_compare_csv, write_ladder_csv)
 
 EXIT_OK = 0
 EXIT_SOLVER = 2
@@ -74,19 +74,9 @@ def _spec_from_args(args) -> ProblemSpec:
     mapping: dict[str, str] = {}
     if getattr(args, "config", None):
         mapping = parse_manifest(Path(args.config).read_text())
-    overrides = {
-        "problem": args.problem,
-        "scheme": getattr(args, "scheme", None),
-        "n": args.n,
-        "tau": args.tau,
-        "t_end": args.t_end,
-        "c0": args.c0,
-        "out": args.out,
-        "cadence": getattr(args, "cadence", None),
-        "snapshots": getattr(args, "snapshots", None),
-        "transform": getattr(args, "transform", None),
-    }
-    for key, value in overrides.items():
+    # flags carry the manifest key names; flags a subcommand lacks read as unset
+    for key in MANIFEST_KEYS:
+        value = getattr(args, key, None)
         if value is not None:
             mapping[key] = str(value)
     if args.h is not None:

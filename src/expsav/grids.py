@@ -12,9 +12,12 @@ which makes norms and energies direct analogues of their integrals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .errors import SolverError
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,48 @@ def _check_values(grid: GridSpec, vals: np.ndarray):
         raise ValueError(f"field has {vals.size} values, grid has {grid.size} nodes")
     if not np.all(np.isfinite(vals)):
         raise ValueError("field contains non-finite values")
+
+
+@dataclass(frozen=True, eq=False)
+class State:
+    """Solution u and auxiliary value q at step n, plus the previous u for the predictor.
+
+    q starts positive; the evolved value may pass through zero when C0 = 0
+    (only q^2 enters the energy, so the sign is immaterial).
+    """
+
+    u: Field | ComplexField
+    q: float
+    u_prev: Field | ComplexField | None
+    n: int
+    t: float
+
+    def __post_init__(self):
+        if self.u_prev is None and self.n != 0:
+            raise ValueError("only the initial state may lack a previous level")
+
+    def predictor(self) -> np.ndarray:
+        """Extrapolated half-step value (3 u^n - u^{n-1})/2; u^0 boots the first step."""
+        if self.u_prev is None:
+            return self.u.values
+        return 1.5 * self.u.values - 0.5 * self.u_prev.values
+
+    def advance(self, tau: float, u: np.ndarray, q: float, **fields: np.ndarray) -> State:
+        """The state one step of size tau later, holding the step's u, q and other fields.
+
+        Every stepper returns through here, so this is where a step's result
+        is checked: a non-finite u, other field (v) or q raises SolverError.
+        """
+        n = self.n + 1
+        wrapped = {}
+        for name, values in {"u": u, **fields}.items():
+            try:
+                wrapped[name] = type(self.u)(self.u.grid, values)
+            except ValueError as exc:
+                raise SolverError(f"step {n} yields an invalid {name}: {exc}") from exc
+        if not math.isfinite(q):
+            raise SolverError(f"step {n} yields a non-finite q ({q:g})")
+        return replace(self, **wrapped, q=float(q), u_prev=self.u, n=n, t=n * tau)
 
 
 def sample(grid: GridSpec, fn, t: float | None = None) -> np.ndarray:

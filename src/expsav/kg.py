@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import require_positive
 from .fourier import forward_values, inverse_values, real_part
-from .grids import Field, GridSpec, forward_diff_norm, norm_l2, sample
+from .grids import Field, GridSpec, State, forward_diff_norm, norm_l2, sample
 from .tables import ExpPhiTables
 
 
@@ -53,23 +53,10 @@ class KgProblem:
 
 
 @dataclass(frozen=True, eq=False)
-class KgState:
-    """Solution (u, v, q) at step n, plus the previous u for the predictor.
+class KgState(State):
+    """The common state record plus the velocity v = u_t."""
 
-    q starts at sqrt(<G(u0), 1> + C0) > 0; the evolved value may pass through
-    zero when C0 = 0 (only q^2 enters the energy, so the sign is immaterial).
-    """
-
-    u: Field
     v: Field
-    q: float
-    u_prev: Field | None
-    n: int
-    t: float
-
-    def __post_init__(self):
-        if self.u_prev is None and self.n != 0:
-            raise ValueError("only the initial state may lack a previous level")
 
 
 def kg_init(problem: KgProblem) -> KgState:
@@ -84,13 +71,6 @@ def kg_init(problem: KgProblem) -> KgState:
         )
     return KgState(u=Field(grid, u0), v=Field(grid, v0), q=float(np.sqrt(radicand)),
                    u_prev=None, n=0, t=0.0)
-
-
-def kg_predictor(state: KgState) -> Field:
-    """Extrapolated half-step value (3 u^n - u^{n-1})/2; u^0 boots the first step."""
-    if state.u_prev is None:
-        return state.u
-    return Field(state.u.grid, 1.5 * state.u.values - 0.5 * state.u_prev.values)
 
 
 def linear_flow(u: np.ndarray, v: np.ndarray, tables: ExpPhiTables,
@@ -112,7 +92,7 @@ def kg_step(state: KgState, tables: ExpPhiTables, problem: KgProblem) -> KgState
     tau = tables.tau
     u, v, q = state.u.values, state.v.values, state.q
 
-    uhat = kg_predictor(state).values
+    uhat = state.predictor()
     s2 = require_positive(cell * float(np.sum(problem.G(uhat))) + problem.C0,
                           "<G(uhat), 1> + C0")
     s = np.sqrt(s2)
@@ -133,8 +113,7 @@ def kg_step(state: KgState, tables: ExpPhiTables, problem: KgProblem) -> KgState
     q_new = q + cell * float(w @ (u_new - u)) / (2.0 * s)
     v_new = zv - (tau * 0.5 * (q + q_new) / s) * phi22_w
 
-    return KgState(u=Field(grid, u_new), v=Field(grid, v_new), q=float(q_new),
-                   u_prev=state.u, n=state.n + 1, t=(state.n + 1) * tau)
+    return state.advance(tau, u_new, q_new, v=v_new)
 
 
 def kg_modified_energy(state: KgState, problem: KgProblem) -> float:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import SolverError, require_positive
 from .fourier import apply_multipliers
-from .grids import ComplexField, GridSpec, sample, spectral_laplacian_eigenvalues
+from .grids import ComplexField, GridSpec, State, sample, spectral_laplacian_eigenvalues
 from .tables import NlsTables
 
 # determinant of the 2x2 closure below this (relative) means corrupted tables
@@ -44,26 +44,10 @@ class NlsProblem:
     beta: float
     u0: Callable
     C0: float = 0.0
-    laplacian_symbol: np.ndarray | None = None  # defaults to the spectral symbol
 
 
-@dataclass(frozen=True, eq=False)
-class NlsState:
-    """Wave function and auxiliary value at step n.
-
-    q starts positive; the evolved value may pass through zero when C0 = 0
-    (only q^2 enters the energy, so the sign is immaterial).
-    """
-
-    u: ComplexField
-    q: float
-    u_prev: ComplexField | None
-    n: int
-    t: float
-
-    def __post_init__(self):
-        if self.u_prev is None and self.n != 0:
-            raise ValueError("only the initial state may lack a previous level")
+# the wave function needs no second field: the common record is the state
+NlsState = State
 
 
 def nls_init(problem: NlsProblem) -> NlsState:
@@ -79,13 +63,6 @@ def nls_init(problem: NlsProblem) -> NlsState:
                     u_prev=None, n=0, t=0.0)
 
 
-def nls_predictor(state: NlsState) -> ComplexField:
-    """Extrapolated half-step value, u^0 at the first step."""
-    if state.u_prev is None:
-        return state.u
-    return ComplexField(state.u.grid, 1.5 * state.u.values - 0.5 * state.u_prev.values)
-
-
 def nls_step(state: NlsState, tables: NlsTables, problem: NlsProblem) -> NlsState:
     """Advance one step of size tables.tau; returns the new state."""
     grid = problem.grid
@@ -95,7 +72,7 @@ def nls_step(state: NlsState, tables: NlsTables, problem: NlsProblem) -> NlsStat
     tau = tables.tau
     u, q = state.u.values, state.q
 
-    uhat = nls_predictor(state).values
+    uhat = state.predictor()
     abs2 = np.abs(uhat) ** 2
     s2 = require_positive(cell * float(np.sum(abs2**2)) + problem.C0, "<|uhat|^4, 1> + C0")
     s = np.sqrt(s2)
@@ -125,13 +102,12 @@ def nls_step(state: NlsState, tables: NlsTables, problem: NlsProblem) -> NlsStat
     q_half = q + 0.5 * (x + y).real - ip_gamma_u.real
     q_new = 2.0 * q_half - q
 
-    return NlsState(u=ComplexField(grid, u_new), q=float(q_new),
-                    u_prev=state.u, n=state.n + 1, t=(state.n + 1) * tau)
+    return state.advance(tau, u_new, q_new)
 
 
 def nls_kinetic(state: NlsState, problem: NlsProblem) -> float:
     """<Lap u, u> evaluated through the spectral symbol (a real number <= 0)."""
-    lam = _symbol(problem)
+    lam = spectral_laplacian_eigenvalues(problem.grid)
     du = apply_multipliers(state.u.values, lam.astype(np.complex128), problem.grid)
     return float((problem.grid.cell * np.vdot(state.u.values, du)).real)
 
@@ -150,9 +126,3 @@ def nls_hamiltonian(state: NlsState, problem: NlsProblem) -> float:
     """Discrete Hamiltonian <Lap u, u> + beta/2 <|u|^4, 1> (monitored only)."""
     quartic = problem.grid.cell * float(np.sum(np.abs(state.u.values) ** 4))
     return nls_kinetic(state, problem) + 0.5 * problem.beta * quartic
-
-
-def _symbol(problem: NlsProblem) -> np.ndarray:
-    if problem.laplacian_symbol is not None:
-        return problem.laplacian_symbol
-    return spectral_laplacian_eigenvalues(problem.grid)

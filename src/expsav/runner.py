@@ -72,8 +72,25 @@ class RunResult:
 # spec resolution and manifest round-trip
 # --------------------------------------------------------------------------
 
-_SPEC_KEYS = ("problem", "scheme", "n", "tau", "t_end", "c0", "cadence", "out",
-              "snapshots", "transform", "fp_tol", "fp_max_iters")
+def _times(text: str) -> tuple[float, ...]:
+    return tuple(float(p) for p in text.split(",") if p.strip())
+
+
+# manifest key -> (ProblemSpec field, parser of the manifest text), in manifest order
+MANIFEST_KEYS = {
+    "problem": ("problem", str),
+    "scheme": ("scheme", str),
+    "n": ("n", int),
+    "tau": ("tau", float),
+    "t_end": ("t_end", float),
+    "c0": ("c0", float),
+    "cadence": ("cadence", int),
+    "out": ("out", str),
+    "snapshots": ("snapshot_times", _times),
+    "transform": ("snapshot_transform", str),
+    "fp_tol": ("fp_tol", float),
+    "fp_max_iters": ("fp_max_iters", int),
+}
 
 
 def resolve(spec: ProblemSpec) -> tuple[CatalogEntry, GridSpec, object, float, float, int]:
@@ -98,28 +115,17 @@ def resolve(spec: ProblemSpec) -> tuple[CatalogEntry, GridSpec, object, float, f
 
 
 def spec_to_manifest(spec: ProblemSpec) -> str:
-    """Flat key = value manifest, the same format parse_manifest reads."""
-    lines = [
-        f"problem = {spec.problem}",
-        f"scheme = {spec.scheme}",
-    ]
-    if spec.n is not None:
-        lines.append(f"n = {spec.n}")
-    if spec.tau is not None:
-        lines.append(f"tau = {spec.tau!r}")
-    if spec.t_end is not None:
-        lines.append(f"t_end = {spec.t_end!r}")
-    if spec.c0 is not None:
-        lines.append(f"c0 = {spec.c0!r}")
-    lines.append(f"cadence = {spec.cadence}")
-    if spec.out is not None:
-        lines.append(f"out = {spec.out}")
-    if spec.snapshot_times:
-        lines.append("snapshots = " + ", ".join(repr(t) for t in spec.snapshot_times))
-    if spec.snapshot_transform is not None:
-        lines.append(f"transform = {spec.snapshot_transform}")
-    lines.append(f"fp_tol = {spec.fp_tol!r}")
-    lines.append(f"fp_max_iters = {spec.fp_max_iters}")
+    """Flat key = value manifest, the same format parse_manifest reads; unset keys are left out."""
+    lines = []
+    for key, (name, _) in MANIFEST_KEYS.items():
+        value = getattr(spec, name)
+        if value is None or value == ():
+            continue
+        if isinstance(value, tuple):
+            text = ", ".join(repr(t) for t in value)
+        else:
+            text = repr(value) if isinstance(value, float) else str(value)
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -133,7 +139,7 @@ def parse_manifest(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"manifest line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SPEC_KEYS:
+        if key not in MANIFEST_KEYS:
             raise ValueError(f"manifest line {lineno}: unknown key {key!r}")
         out[key] = value
     return out
@@ -143,31 +149,8 @@ def spec_from_mapping(mapping: dict[str, str]) -> ProblemSpec:
     """Build a ProblemSpec from manifest strings (all values still textual)."""
     if "problem" not in mapping:
         raise ValueError("manifest is missing the 'problem' key")
-    kwargs: dict = {"problem": mapping["problem"]}
-    if "scheme" in mapping:
-        kwargs["scheme"] = mapping["scheme"]
-    if "n" in mapping:
-        kwargs["n"] = int(mapping["n"])
-    if "tau" in mapping:
-        kwargs["tau"] = float(mapping["tau"])
-    if "t_end" in mapping:
-        kwargs["t_end"] = float(mapping["t_end"])
-    if "c0" in mapping:
-        kwargs["c0"] = float(mapping["c0"])
-    if "cadence" in mapping:
-        kwargs["cadence"] = int(mapping["cadence"])
-    if "out" in mapping:
-        kwargs["out"] = mapping["out"]
-    if "snapshots" in mapping:
-        parts = [p for p in mapping["snapshots"].split(",") if p.strip()]
-        kwargs["snapshot_times"] = tuple(float(p) for p in parts)
-    if "transform" in mapping:
-        kwargs["snapshot_transform"] = mapping["transform"]
-    if "fp_tol" in mapping:
-        kwargs["fp_tol"] = float(mapping["fp_tol"])
-    if "fp_max_iters" in mapping:
-        kwargs["fp_max_iters"] = int(mapping["fp_max_iters"])
-    return ProblemSpec(**kwargs)
+    return ProblemSpec(**{name: parse(mapping[key])
+                          for key, (name, parse) in MANIFEST_KEYS.items() if key in mapping})
 
 
 # --------------------------------------------------------------------------
@@ -225,12 +208,16 @@ def run(spec: ProblemSpec) -> RunResult:
     maybe_snapshot(state)
     total_iters = 0
     t_start = time.perf_counter()
-    for step_idx in range(1, n_steps + 1):
-        state, iters = step(state)
-        total_iters += iters
-        if step_idx % spec.cadence == 0 or step_idx == n_steps:
-            records.append(record(state, iters))
-        maybe_snapshot(state)
+    # a diverging run overflows on its way to the guard that stops it (a stepper
+    # guard, State.advance or _fmt, each raising SolverError); the numpy warnings
+    # on the way there would only repeat that failure
+    with np.errstate(all="ignore"):
+        for step_idx in range(1, n_steps + 1):
+            state, iters = step(state)
+            total_iters += iters
+            if step_idx % spec.cadence == 0 or step_idx == n_steps:
+                records.append(record(state, iters))
+            maybe_snapshot(state)
     wall = time.perf_counter() - t_start
 
     if out_dir is not None:

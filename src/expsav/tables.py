@@ -36,6 +36,8 @@ class ExpPhiTables:
     """Per-mode 2x2 blocks of exp(V) and phi(V) for the wave stepper.
 
     Each block's two diagonal entries are equal, so e11/p11 also serve as e22/p22.
+    phi21 is not stored: the forcing (0, -G'(u)) has no u component, so no
+    stepper reads it.
     """
 
     grid: GridSpec
@@ -46,7 +48,6 @@ class ExpPhiTables:
     e21: np.ndarray
     p11: np.ndarray
     p12: np.ndarray
-    p21: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +106,6 @@ def build_kg_tables(grid: GridSpec, lam: np.ndarray, omega: float, tau: float) -
         e21=-tau * mu2 * s1,
         p11=s1,
         p12=tau * c2,
-        p21=-tau * mu2 * c2,
     )
 
 

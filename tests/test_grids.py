@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expsav.grids import (ComplexField, Field, fd_laplacian_eigenvalues, forward_diff_norm,
-                          make_grid, norm_l2, spectral_laplacian_eigenvalues)
+from expsav.errors import SolverError
+from expsav.grids import (ComplexField, Field, State, fd_laplacian_eigenvalues,
+                          forward_diff_norm, make_grid, norm_l2, spectral_laplacian_eigenvalues)
+from expsav.kg import KgState
+from expsav.nls import NlsState
 
 import oracles
 from oracles import inner_l2
@@ -111,6 +114,39 @@ def test_field_rejects_nonfinite_and_wrong_length():
         Field(g, np.zeros(5))
     with pytest.raises(ValueError):
         Field(g, np.array([0.0, np.nan, 0.0, 0.0]))
+
+
+def test_state_advance_shifts_the_levels():
+    g = make_grid(0, 1, 4, 1)
+    u0 = Field(g, np.arange(4.0))
+    state = KgState(u=u0, v=u0, q=2.0, u_prev=None, n=0, t=0.0)
+    one = state.advance(0.25, np.ones(4), np.float64(3.0), v=np.zeros(4))
+    two = one.advance(0.25, np.full(4, 2.0), 4.0, v=np.ones(4))
+    assert type(two) is KgState
+    assert two.u_prev is one.u and one.u_prev is u0
+    assert (two.n, two.t, type(two.q)) == (2, 0.5, float)
+    np.testing.assert_array_equal(two.v.values, 1.0)
+    np.testing.assert_array_equal(two.predictor(), 2.5)  # (3 * 2 - 1) / 2
+
+
+def test_nls_state_is_the_common_record():
+    g = make_grid(0, 1, 4, 1)
+    state = NlsState(u=ComplexField(g, np.ones(4)), q=1.0, u_prev=None, n=0, t=0.0)
+    new = state.advance(0.1, 1j * np.ones(4), 1.0)
+    assert NlsState is State and type(new) is State
+    assert not hasattr(new, "v")
+    assert new.u.values.dtype == np.complex128
+
+
+@pytest.mark.parametrize("bad", ["u", "v", "q"])
+def test_state_advance_rejects_a_nonfinite_result(bad):
+    g = make_grid(0, 1, 4, 1)
+    state = KgState(u=Field(g, np.zeros(4)), v=Field(g, np.zeros(4)), q=1.0,
+                    u_prev=Field(g, np.zeros(4)), n=6, t=0.6)
+    values = {"u": np.zeros(4), "v": np.zeros(4), "q": 1.0}
+    values[bad] = np.inf if bad == "q" else np.array([0.0, np.nan, 0.0, 0.0])
+    with pytest.raises(SolverError, match=f"step 7 yields .*{bad}"):
+        state.advance(0.1, values["u"], values["q"], v=values["v"])
 
 
 @settings(deadline=None, max_examples=30)

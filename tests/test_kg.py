@@ -7,7 +7,7 @@ from expsav.catalog import get_entry, sech
 from expsav.errors import SolverError
 from expsav.grids import Field, fd_laplacian_eigenvalues, make_grid
 from expsav.kg import (KgProblem, KgState, kg_init, kg_modified_energy, kg_original_energy,
-                       kg_predictor, kg_step)
+                       kg_step)
 from expsav.tables import build_kg_tables
 
 import oracles
@@ -79,21 +79,21 @@ def test_predictor_constant_state():
     grid = make_grid(0, 1, 8, 1)
     c = Field(grid, np.full(8, 2.7))
     state = KgState(u=c, v=c, q=1.0, u_prev=c, n=5, t=0.5)
-    np.testing.assert_allclose(kg_predictor(state).values, 2.7)
+    np.testing.assert_allclose(state.predictor(), 2.7)
 
 
 def test_predictor_first_step_uses_u0():
     grid = make_grid(0, 1, 8, 1)
     u0 = Field(grid, np.arange(8.0))
     state = KgState(u=u0, v=u0, q=1.0, u_prev=None, n=0, t=0.0)
-    np.testing.assert_array_equal(kg_predictor(state).values, u0.values)
+    np.testing.assert_array_equal(state.predictor(), u0.values)
 
 
 def test_predictor_extrapolates():
     grid = make_grid(0, 1, 8, 1)
     state = KgState(u=Field(grid, np.full(8, 2.0)), v=Field(grid, np.zeros(8)), q=1.0,
                     u_prev=Field(grid, np.full(8, 1.0)), n=2, t=0.2)
-    np.testing.assert_allclose(kg_predictor(state).values, 2.5)
+    np.testing.assert_allclose(state.predictor(), 2.5)
 
 
 # ---------------------------------------------------------------- stepping

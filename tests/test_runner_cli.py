@@ -49,6 +49,28 @@ def test_csv_bytes_reproducible_through_manifest(tmp_path):
     assert (out_a / "run.csv").read_bytes() == (out_b / "run.csv").read_bytes()
 
 
+def test_manifest_with_every_key_set():
+    spec = ProblemSpec(problem="sg2d_ring", scheme="eavfs", n=64, tau=0.05, t_end=2.5,
+                       c0=0.5, cadence=3, out="results/ring", snapshot_times=(0.5, 2.5),
+                       snapshot_transform="identity", fp_tol=1e-12, fp_max_iters=50)
+    manifest = spec_to_manifest(spec)
+    assert manifest == (
+        "problem = sg2d_ring\n"
+        "scheme = eavfs\n"
+        "n = 64\n"
+        "tau = 0.05\n"
+        "t_end = 2.5\n"
+        "c0 = 0.5\n"
+        "cadence = 3\n"
+        "out = results/ring\n"
+        "snapshots = 0.5, 2.5\n"
+        "transform = identity\n"
+        "fp_tol = 1e-12\n"
+        "fp_max_iters = 50\n"
+    )
+    assert spec_from_mapping(parse_manifest(manifest)) == spec
+
+
 def test_manifest_rejects_unknown_key():
     with pytest.raises(ValueError):
         parse_manifest("problem = sg1d\nbogus = 3\n")
@@ -245,20 +267,27 @@ def test_cli_compare(tmp_path, capsys):
 DIVERGING_EAVFS = ["run", "--problem", "kg2d_cubic", "--tau", "4", "--t-end", "40",
                    "--n", "16", "--scheme", "eavfs"]
 DIVERGED_MSG = "expsav: solver failure: fixed point diverged at iteration 9\n"
+# an esavs blow-up: the guarded scalars of step 22 stay finite, but the solution
+# of the 2x2 closure overflows and the step returns a non-finite u
+NONFINITE_ESAVS = ["run", "--problem", "nls2d_planewave", "--n", "16", "--tau", "4",
+                   "--t-end", "240"]
+NONFINITE_MSG = ("expsav: solver failure: step 22 yields an invalid u: "
+                 "field contains non-finite values\n")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv,message", [
     (DIVERGING_EAVFS, DIVERGED_MSG),
     (["run", "--problem", "nls1d_soliton", "--tau", "5", "--t-end", "50", "--n", "16",
       "--scheme", "eavfs"], "expsav: solver failure: fixed point diverged at iteration 7\n"),
+    (NONFINITE_ESAVS, NONFINITE_MSG),
 ])
 def test_cli_eavfs_divergence_fails_fast(argv, message, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == message
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_esavs_overflow_is_a_solver_failure(capsys):
     # the modified energy drifts off until |uhat|^4 overflows at step 54
     assert main(["run", "--problem", "nls2d_planewave", "--tau", "3", "--t-end", "300",
@@ -289,8 +318,8 @@ def test_cli_divergence_same_under_optimize():
     src = str(Path(expsav.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-O", "-W", "ignore", "-m", "expsav.cli",
-                           *DIVERGING_EAVFS], capture_output=True, text=True, env=env,
-                          timeout=60)
-    assert proc.returncode == 2
-    assert proc.stderr == DIVERGED_MSG
+    for argv, message in ((DIVERGING_EAVFS, DIVERGED_MSG), (NONFINITE_ESAVS, NONFINITE_MSG)):
+        proc = subprocess.run([sys.executable, "-O", "-m", "expsav.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == message

@@ -23,7 +23,6 @@ def test_zero_mode_entries():
     assert (t.e11[0], t.e12[0], t.e21[0]) == (1.0, 0.1, 0.0)
     assert t.p11[0] == 1.0
     assert t.p12[0] == pytest.approx(0.05)
-    assert t.p21[0] == 0.0
 
 
 def test_omega_zero_gives_shear_block():
@@ -49,7 +48,7 @@ def test_exp_matches_dense_matrix_exponential():
     # the diagonal entries of each block are equal: e11/p11 stand in for e22/p22
     for table, dense in [(t.e11, e11), (t.e12, e12), (t.e21, e21), (t.e11, e22)]:
         np.testing.assert_allclose(table_as_dense(table, g), dense, atol=1e-11)
-    for table, dense in [(t.p11, p11), (t.p12, p12), (t.p21, p21), (t.p11, p22)]:
+    for table, dense in [(t.p11, p11), (t.p12, p12), (t.p11, p22)]:
         np.testing.assert_allclose(table_as_dense(table, g), dense, atol=1e-10)
 
 
@@ -68,7 +67,7 @@ def test_blocks_even_in_k(dim, n):
     # last bits, so the symmetry holds to roundoff rather than bit for bit.
     g = make_grid(-3.0, 2.0, n, dim)
     t = build_kg_tables(g, fd_laplacian_eigenvalues(g), omega=1.3, tau=0.4)
-    for name in ("e11", "e12", "e21", "p11", "p12", "p21"):
+    for name in ("e11", "e12", "e21", "p11", "p12"):
         block = getattr(t, name).reshape(g.shape)
         scale = max(1.0, float(np.max(np.abs(block))))
         for axis in range(dim):
