@@ -86,8 +86,9 @@ def _kg2d_problem(grid: GridSpec, c0: float) -> KgProblem:
     return KgProblem(
         grid=grid,
         omega=1.0,
-        G=lambda u: 0.25 * u**4,
-        Gp=lambda u: u**3,
+        # products, not u**4 and u**3: numpy's pow is several times slower
+        G=lambda u: 0.25 * (u * u) * (u * u),
+        Gp=lambda u: u * u * u,
         phi1=lambda x, y: 2.0 * sech(np.cosh(x**2 + y**2)),
         phi2=lambda x, y: np.zeros_like(x),
         C0=c0,

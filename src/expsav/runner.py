@@ -64,7 +64,7 @@ class RunResult:
     records: list[RunRecord]
     final_state: object
     total_iters: int
-    wall_seconds: float
+    wall_seconds: float             # stepping only: no diagnostics rows, no snapshots
     files: list[Path] = field(default_factory=list)
 
 
@@ -207,18 +207,19 @@ def run(spec: ProblemSpec) -> RunResult:
     records = [record(state, None)]
     maybe_snapshot(state)
     total_iters = 0
-    t_start = time.perf_counter()
+    wall = 0.0
     # a diverging run overflows on its way to the guard that stops it (a stepper
     # guard, State.advance or _fmt, each raising SolverError); the numpy warnings
     # on the way there would only repeat that failure
     with np.errstate(all="ignore"):
         for step_idx in range(1, n_steps + 1):
+            t_start = time.perf_counter()
             state, iters = step(state)
+            wall += time.perf_counter() - t_start
             total_iters += iters
             if step_idx % spec.cadence == 0 or step_idx == n_steps:
                 records.append(record(state, iters))
             maybe_snapshot(state)
-    wall = time.perf_counter() - t_start
 
     if out_dir is not None:
         csv_path = out_dir / "run.csv"

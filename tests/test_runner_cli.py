@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import expsav
+from expsav import kg
 from expsav.catalog import CATALOG, CatalogEntry, register
 from expsav.cli import main
 from expsav.kg import KgProblem
@@ -154,6 +156,23 @@ def test_compare_driver_sg1d_short():
     assert by_scheme["esavs"].total_iters == 0
     assert by_scheme["eavfs"].total_iters >= 2 * 10
     assert by_scheme["eavfs"].energy_drift <= 1e-10
+
+
+def test_wall_seconds_times_the_steps_only(tmp_path, monkeypatch):
+    energy = kg.kg_modified_energy
+    nap = 0.05
+
+    def slow_energy(state, problem):
+        time.sleep(nap)
+        return energy(state, problem)
+
+    monkeypatch.setattr(kg, "kg_modified_energy", slow_energy)
+    result = run(ProblemSpec(problem="sg1d", n=100, tau=0.01, t_end=0.1, cadence=1,
+                             out=str(tmp_path), snapshot_times=(0.05, 0.1)))
+    slept = nap * len(result.records)  # one diagnostics row per step, plus t = 0
+    assert len(result.records) == 11
+    # ten of the eleven naps fall inside the loop; the steps themselves take ~1 ms
+    assert 0.0 < result.wall_seconds < 0.5 * slept
 
 
 # frozen regression values from this implementation (soliton, N = 4096, t = 1)
