@@ -115,10 +115,13 @@ def eavf_step_kg(state: KgState, tables: ExpPhiTables, problem: KgProblem,
         raise ValueError("tables built on a different grid")
     tau = tables.tau
     u = state.u.values
-    zu, zv = linear_flow(u, state.v.values, tables, grid)
+    fu, fv = forward_values(u, grid), forward_values(state.v.values, grid)
+    zu, zv = (real_part(inverse_values(fz, grid)) for fz in linear_flow(fu, fv, tables))
 
+    # the iteration adds the small phi-gradient term to the physical zu: its
+    # roundoff scales with that term, not with |zu|, near the 1e-14 stop
     def phi_gradient(u_iter, phi):
-        ffb = forward_values(avf_gradient_kg(problem, u, u_iter).astype(np.complex128), grid)
+        ffb = forward_values(avf_gradient_kg(problem, u, u_iter), grid)
         return tau * real_part(inverse_values(phi * ffb, grid))
 
     u_new, it = _fixed_point(lambda u_iter: zu - phi_gradient(u_iter, tables.p12), u, cfg)

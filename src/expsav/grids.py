@@ -55,7 +55,7 @@ class GridSpec:
     @property
     def size(self) -> int:
         """Total node count."""
-        return int(np.prod(self.n))
+        return math.prod(self.n)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -172,13 +172,15 @@ def fd_laplacian_eigenvalues(grid: GridSpec) -> np.ndarray:
 
     Along one axis: lam_j = -(4/h^2) sin^2(j*pi/N), j = 0..N-1; in 2D the
     tensor-product operator has eigenvalue lam_j + lam_k at mode (j, k).
+    The sine is taken at min(j, N - j), so lam_j = lam_{N-j} bit for bit
+    and every table built from lam is exactly even in k.
     """
     per_axis = []
     for axis in range(grid.dim):
         N = grid.n[axis]
         h = grid.h[axis]
         j = np.arange(N)
-        per_axis.append(-(4.0 / h**2) * np.sin(j * np.pi / N) ** 2)
+        per_axis.append(-(4.0 / h**2) * np.sin(np.minimum(j, N - j) * np.pi / N) ** 2)
     if grid.dim == 1:
         return per_axis[0]
     return np.add.outer(per_axis[0], per_axis[1]).ravel()

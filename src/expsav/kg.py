@@ -19,7 +19,12 @@ step to ONE scalar equation: with w = G'(uhat), s^2 = <G(uhat), 1> + C0,
     v' = e21 u + e11 v - (tau (q+q')/(2 s)) * phi11 w    (e22 = e11, phi22 = phi11).
 
 The update conserves E exactly in exact arithmetic, with no nonlinear
-iteration anywhere.
+iteration anywhere. Every field is real, so the step works on half
+spectra: it transforms u, v and w forward, forms e11 u + e12 v and
+phi12 w there, takes <w, e11 u + e12 v> and <w, phi12 w> by Parseval
+(<w, u> stays a physical product), and inverts once for u' and once for
+v': five real FFTs and one scalar solve. q' uses the physical
+<w, u' - u> of the new u, which keeps the energy drift at roundoff.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import require_positive
-from .fourier import forward_values, inverse_values, real_part
+from .fourier import forward_values, half_inner, inverse_values, real_part
 from .grids import Field, GridSpec, State, forward_diff_norm, norm_l2, sample
 from .tables import ExpPhiTables
 
@@ -73,14 +78,11 @@ def kg_init(problem: KgProblem) -> KgState:
                    u_prev=None, n=0, t=0.0)
 
 
-def linear_flow(u: np.ndarray, v: np.ndarray, tables: ExpPhiTables,
-                grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Exact flow exp(V)(u, v) of the linear wave system over one step."""
-    fu = forward_values(u.astype(np.complex128), grid)
-    fv = forward_values(v.astype(np.complex128), grid)
-    zu = real_part(inverse_values(tables.e11 * fu + tables.e12 * fv, grid))
-    zv = real_part(inverse_values(tables.e21 * fu + tables.e11 * fv, grid))
-    return zu, zv
+def linear_flow(fu: np.ndarray, fv: np.ndarray,
+                tables: ExpPhiTables) -> tuple[np.ndarray, np.ndarray]:
+    """Half spectra of the exact flow exp(V)(u, v) of the linear wave system over
+    one step, from the half spectra of u and v."""
+    return tables.e11 * fu + tables.e12 * fv, tables.e21 * fu + tables.e11 * fv
 
 
 def kg_step(state: KgState, tables: ExpPhiTables, problem: KgProblem) -> KgState:
@@ -98,20 +100,24 @@ def kg_step(state: KgState, tables: ExpPhiTables, problem: KgProblem) -> KgState
     s = np.sqrt(s2)
     w = problem.Gp(uhat)
 
-    zu, zv = linear_flow(u, v, tables, grid)
-    fw = forward_values(w.astype(np.complex128), grid)
-    phi12_w = real_part(inverse_values(tables.p12 * fw, grid))
-    phi22_w = real_part(inverse_values(tables.p11 * fw, grid))
+    fu, fv, fw = (forward_values(x, grid) for x in (u, v, w))
+    fzu, fzv = linear_flow(fu, fv, tables)
+    fphi12_w = tables.p12 * fw
 
-    gamma = (tau / (4.0 * s2)) * phi12_w
-    g = zu - (tau * q / s) * phi12_w + gamma * (cell * float(w @ u))
+    # gamma = c * phi12 w; <w, gamma> and <w, g> follow from <w, phi12 w>
+    c = tau / (4.0 * s2)
+    w_phi12_w = half_inner(fw, fphi12_w, grid)
+    denom = require_positive(1.0 + c * w_phi12_w, "scalar-solve denominator")
+    w_u = cell * float(w @ u)
+    w_g = half_inner(fw, fzu, grid) + (c * w_u - tau * q / s) * w_phi12_w
+    w_dot_unew = w_g / denom
 
-    denom = require_positive(1.0 + cell * float(w @ gamma), "scalar-solve denominator")
-    w_dot_unew = cell * float(w @ g) / denom
-
-    u_new = g - gamma * w_dot_unew
+    # u' = g - gamma <w, u'> = zu + alpha * phi12 w
+    alpha = c * (w_u - w_dot_unew) - tau * q / s
+    u_new = real_part(inverse_values(fzu + alpha * fphi12_w, grid))
     q_new = q + cell * float(w @ (u_new - u)) / (2.0 * s)
-    v_new = zv - (tau * 0.5 * (q + q_new) / s) * phi22_w
+    beta = tau * 0.5 * (q + q_new) / s
+    v_new = real_part(inverse_values(fzv - beta * (tables.p11 * fw), grid))
 
     return state.advance(tau, u_new, q_new, v=v_new)
 

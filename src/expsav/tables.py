@@ -13,6 +13,11 @@ phi = integral_0^1 exp((1-xi)*V) dxi, so the lam = 0 block is
 [[1, tau/2], [0, 1]] rather than the identity. Every exp block has
 determinant cos^2 x + sin^2 x = 1.
 
+The wave tables act on real fields, so they are stored on the half
+spectrum (numpy's rfftn layout, see fourier.py): the eigenvalues are even
+in k and a block depends on the mode only through its eigenvalue, so the
+conjugate half is redundant.
+
 For the Schroedinger system the linear flow is the unitary phase
 exp(i*tau*lam) per mode and its step average is
 sigma = (exp(i*tau*lam) - 1)/(i*tau*lam) = exp(i*x/2)*s1(x/2) with
@@ -25,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fourier import half_spectrum
 from .grids import GridSpec
 
 # below this argument the direct sin/cos quotients lose digits; switch to series
@@ -33,7 +39,7 @@ _SERIES_CUTOFF = 1e-4
 
 @dataclass(frozen=True, eq=False)
 class ExpPhiTables:
-    """Per-mode 2x2 blocks of exp(V) and phi(V) for the wave stepper.
+    """Per-mode 2x2 blocks of exp(V) and phi(V) for the wave stepper, on the half spectrum.
 
     Each block's two diagonal entries are equal, so e11/p11 also serve as e22/p22.
     phi21 is not stored: the forcing (0, -G'(u)) has no u component, so no
@@ -83,7 +89,11 @@ def versine_over_x2(x: np.ndarray) -> np.ndarray:
 
 
 def build_kg_tables(grid: GridSpec, lam: np.ndarray, omega: float, tau: float) -> ExpPhiTables:
-    """Tabulate the wave-system exp/phi blocks for Laplacian eigenvalues lam."""
+    """Tabulate the wave-system exp/phi blocks for Laplacian eigenvalues lam.
+
+    lam is given in full mode order (grid.size entries, even in k); the
+    tables hold its half-spectrum part.
+    """
     lam = np.asarray(lam, dtype=np.float64).ravel()
     if lam.size != grid.size:
         raise ValueError(f"{lam.size} eigenvalues for {grid.size} modes")
@@ -92,7 +102,7 @@ def build_kg_tables(grid: GridSpec, lam: np.ndarray, omega: float, tau: float) -
     if tau <= 0.0:
         raise ValueError("time step must be positive")
 
-    mu2 = omega * omega * (-lam)
+    mu2 = omega * omega * (-half_spectrum(lam, grid))
     mu = np.sqrt(mu2)
     x = tau * mu
     s1 = sin_over_x(x)

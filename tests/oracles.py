@@ -51,11 +51,14 @@ def dense_diagonal_operator(grid: GridSpec, multipliers: np.ndarray) -> np.ndarr
 
 
 def circulant_second_difference(n: int, h: float) -> np.ndarray:
-    """Periodic (1, -2, 1)/h^2 stencil as a dense matrix."""
+    """Periodic (1, -2, 1)/h^2 stencil as a dense matrix.
+
+    The neighbours are added, not assigned: with n = 2 both are the same node.
+    """
     mat = -2.0 * np.eye(n)
     idx = np.arange(n)
-    mat[idx, (idx + 1) % n] = 1.0
-    mat[idx, (idx - 1) % n] = 1.0
+    mat[idx, (idx + 1) % n] += 1.0
+    mat[idx, (idx - 1) % n] += 1.0
     return mat / h**2
 
 

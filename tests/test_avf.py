@@ -5,7 +5,7 @@ from expsav.avf import (FixedPointConfig, avf_gradient_kg, avf_gradient_nls, eav
                         eavf_step_nls)
 from expsav.catalog import get_entry
 from expsav.errors import ConvergenceError
-from expsav.grids import (Field, fd_laplacian_eigenvalues, make_grid,
+from expsav.grids import (Field, GridSpec, fd_laplacian_eigenvalues, make_grid,
                           spectral_laplacian_eigenvalues)
 from expsav.kg import KgProblem, KgState, kg_init, kg_original_energy
 from expsav.nls import NlsProblem, nls_hamiltonian, nls_init
@@ -97,14 +97,13 @@ def test_discrete_gradient_identity_nls():
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_kg_step_matches_dense_fixed_point_oracle():
+def check_kg_step_against_dense_fixed_point(grid):
     rng = np.random.default_rng(14)
-    grid = make_grid(-1, 1, 8, 1)
     problem = sine_gordon_problem(grid)
     tau = 0.05
     tables = build_kg_tables(grid, fd_laplacian_eigenvalues(grid), 1.0, tau)
-    u = rng.normal(size=8)
-    v = rng.normal(size=8)
+    u = rng.normal(size=grid.size)
+    v = rng.normal(size=grid.size)
     q = float(np.sqrt(grid.cell * np.sum(problem.G(u)) + 1.0))
     state = KgState(u=Field(grid, u), v=Field(grid, v), q=q, u_prev=None, n=0, t=0.0)
     new, _ = eavf_step_kg(state, tables, problem, FixedPointConfig())
@@ -112,6 +111,20 @@ def test_kg_step_matches_dense_fixed_point_oracle():
                                               avf_gradient_kg)
     np.testing.assert_allclose(new.u.values, u_ref, atol=1e-11)
     np.testing.assert_allclose(new.v.values, v_ref, atol=1e-11)
+
+
+def test_kg_step_matches_dense_fixed_point_oracle():
+    check_kg_step_against_dense_fixed_point(make_grid(-1, 1, 8, 1))
+
+
+@pytest.mark.parametrize("grid", [
+    make_grid(-1, 1, 2, 1),
+    GridSpec(a=(-1.0, -2.0), b=(1.0, 1.0), n=(4, 6)),
+    GridSpec(a=(-1.0, -2.0), b=(1.0, 1.0), n=(6, 2)),
+], ids=lambda g: "x".join(map(str, g.n)))
+def test_kg_step_matches_dense_fixed_point_oracle_odd_layouts(grid):
+    # a last axis of 2 nodes (half spectrum = full) and non-square grids
+    check_kg_step_against_dense_fixed_point(grid)
 
 
 def test_kg_energy_conservation_short_run():

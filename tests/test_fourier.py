@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expsav.fourier import apply_multipliers, forward_values, inverse_values
-from expsav.grids import (ComplexField, fd_laplacian_eigenvalues, make_grid, norm_l2,
-                          spectral_laplacian_eigenvalues)
+from expsav.fourier import apply_multipliers, forward_values, half_inner, inverse_values
+from expsav.grids import (ComplexField, GridSpec, fd_laplacian_eigenvalues, make_grid,
+                          norm_l2, spectral_laplacian_eigenvalues)
 
 import oracles
 
@@ -73,6 +73,40 @@ def test_parseval():
     coeffs = forward_values(u.values, g)
     mode_sq = g.cell * np.sum(np.abs(coeffs) ** 2) / g.size
     assert node_sq == pytest.approx(mode_sq, rel=1e-12)
+
+
+HALF_LAYOUTS = [make_grid(0, 1, 16, 1), make_grid(0, 1, 2, 1),
+                GridSpec(a=(0.0, 0.0), b=(1.0, 2.0), n=(4, 6)),
+                GridSpec(a=(0.0, 0.0), b=(1.0, 2.0), n=(6, 2))]
+layout_ids = lambda g: "x".join(map(str, g.n))
+
+
+@pytest.mark.parametrize("g", HALF_LAYOUTS, ids=layout_ids)
+def test_real_input_gives_half_spectrum(g):
+    rng = np.random.default_rng(9)
+    u = rng.normal(size=g.size)
+    full = forward_values(u.astype(complex), g).reshape(g.shape)
+    half = forward_values(u, g)
+    assert half.size == g.size // g.n[-1] * (g.n[-1] // 2 + 1)
+    np.testing.assert_allclose(half, full[..., : g.n[-1] // 2 + 1].ravel(), atol=1e-12)
+
+
+@pytest.mark.parametrize("g", HALF_LAYOUTS[::2], ids=layout_ids)
+def test_real_roundtrip_is_real(g):
+    # a last axis of 2 nodes keeps the full spectrum and inverts complex
+    u = np.random.default_rng(10).normal(size=g.size)
+    back = inverse_values(forward_values(u, g), g)
+    assert back.dtype == np.float64
+    np.testing.assert_allclose(back, u, atol=1e-13)
+
+
+@pytest.mark.parametrize("g", HALF_LAYOUTS, ids=layout_ids)
+def test_half_inner_is_parseval(g):
+    rng = np.random.default_rng(11)
+    a, b = rng.normal(size=g.size), rng.normal(size=g.size)
+    physical = g.cell * float(np.sum(a * b))
+    spectral = half_inner(forward_values(a, g), forward_values(b, g), g)
+    assert spectral == pytest.approx(physical, rel=1e-12)
 
 
 @settings(deadline=None, max_examples=25)

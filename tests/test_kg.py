@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from expsav import kg
 from expsav.catalog import get_entry, sech
 from expsav.errors import SolverError
-from expsav.grids import Field, fd_laplacian_eigenvalues, make_grid
+from expsav.grids import Field, GridSpec, fd_laplacian_eigenvalues, make_grid
 from expsav.kg import (KgProblem, KgState, kg_init, kg_modified_energy, kg_original_energy,
                        kg_step)
 from expsav.tables import build_kg_tables
@@ -129,12 +130,11 @@ def test_step_matches_dense_oracle(trial):
     assert new.q == pytest.approx(q_ref, abs=1e-11)
 
 
-def test_step_matches_dense_oracle_2d():
+def check_step_against_dense_oracle(grid):
     rng = np.random.default_rng(77)
-    grid = make_grid(-1.0, 1.0, 4, 2)
     problem = KgProblem(grid=grid, omega=1.3, G=lambda u: 1.0 - np.cos(u), Gp=np.sin,
-                        phi1=lambda x, y: np.zeros_like(x), phi2=lambda x, y: np.zeros_like(x),
-                        C0=0.7)
+                        phi1=lambda *xs: np.zeros_like(xs[0]),
+                        phi2=lambda *xs: np.zeros_like(xs[0]), C0=0.7)
     tau = 0.04
     tables = build_kg_tables(grid, fd_laplacian_eigenvalues(grid), problem.omega, tau)
     state = random_state(problem, rng, tau)
@@ -143,6 +143,24 @@ def test_step_matches_dense_oracle_2d():
     np.testing.assert_allclose(new.u.values, u_ref, atol=1e-11)
     np.testing.assert_allclose(new.v.values, v_ref, atol=1e-11)
     assert new.q == pytest.approx(q_ref, abs=1e-11)
+
+
+def test_step_matches_dense_oracle_2d():
+    check_step_against_dense_oracle(make_grid(-1.0, 1.0, 4, 2))
+
+
+# the half spectrum keeps n//2 + 1 columns of the last axis: with 2 nodes
+# there it is the full spectrum, and a non-square grid tells the axes apart
+ODD_LAYOUTS = [
+    make_grid(-1.0, 1.0, 2, 1),
+    GridSpec(a=(-1.0, -2.0), b=(1.0, 1.0), n=(4, 6)),
+    GridSpec(a=(-1.0, -2.0), b=(1.0, 1.0), n=(6, 2)),
+]
+
+
+@pytest.mark.parametrize("grid", ODD_LAYOUTS, ids=lambda g: "x".join(map(str, g.n)))
+def test_step_matches_dense_oracle_odd_layouts(grid):
+    check_step_against_dense_oracle(grid)
 
 
 def test_first_step_bootstraps_with_u0():
@@ -185,10 +203,30 @@ def test_step_rejects_bad_denominator(bad):
     grid = make_grid(-1, 1, 8, 1)
     problem = sine_gordon_problem(grid)
     tables = build_kg_tables(grid, fd_laplacian_eigenvalues(grid), 1.0, 0.1)
-    corrupted = dataclasses.replace(tables, p12=np.full(grid.size, bad))
+    corrupted = dataclasses.replace(tables, p12=np.full(tables.p12.size, bad))
     state = random_state(problem, np.random.default_rng(3), 0.1)
     with pytest.raises(SolverError, match="scalar-solve denominator"):
         kg_step(state, corrupted, problem)
+
+
+def test_step_does_five_real_transforms(monkeypatch):
+    # 3 forward (u, v, w) real in, 2 inverse (u', v') real out
+    calls = []
+
+    def counted(kind, fn):
+        def wrapper(values, grid):
+            out = fn(values, grid)
+            calls.append((kind, np.isrealobj(values if kind == "forward" else out)))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(kg, "forward_values", counted("forward", kg.forward_values))
+    monkeypatch.setattr(kg, "inverse_values", counted("inverse", kg.inverse_values))
+    grid = make_grid(-1.0, 1.0, 8, 2)
+    problem = sine_gordon_problem(grid)
+    tables = build_kg_tables(grid, fd_laplacian_eigenvalues(grid), 1.0, 0.1)
+    kg_step(random_state(problem, np.random.default_rng(5), 0.1), tables, problem)
+    assert sorted(calls) == [("forward", True)] * 3 + [("inverse", True)] * 2
 
 
 # ---------------------------------------------------------------- energies

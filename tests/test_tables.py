@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expsav.fourier import apply_multipliers
+from expsav.fourier import apply_multipliers, forward_values, inverse_values
 from expsav.grids import fd_laplacian_eigenvalues, make_grid, spectral_laplacian_eigenvalues
 from expsav.tables import build_kg_tables, build_nls_tables, sin_over_x, versine_over_x2
 
@@ -11,8 +11,8 @@ import oracles
 
 
 def table_as_dense(table: np.ndarray, grid) -> np.ndarray:
-    """Assemble the dense node-space matrix of one diagonal block."""
-    cols = [apply_multipliers(e.astype(complex), table, grid).real
+    """Assemble the dense node-space matrix of one half-spectrum diagonal block."""
+    cols = [inverse_values(table * forward_values(e, grid), grid).real
             for e in np.eye(grid.size)]
     return np.column_stack(cols)
 
@@ -61,22 +61,20 @@ def test_determinant_one_blocks():
 
 @pytest.mark.parametrize("dim,n", [(1, 8), (1, 64), (2, 8), (2, 16)])
 def test_blocks_even_in_k(dim, n):
-    # D_k = D_{-k} along every axis, so the blocks map real fields to real
-    # fields and the steppers may drop the imaginary residue (real_part).
-    # The FD eigenvalues sin^2(j pi/N) and sin^2((N-j) pi/N) differ in the
-    # last bits, so the symmetry holds to roundoff rather than bit for bit.
+    # D_k = D_{-k} bit for bit along every axis, so the blocks map real fields
+    # to real fields. The half layout stores only k >= 0 of the last axis,
+    # which takes that evenness for granted; the leading axis is stored whole
+    # and is checked on the tables.
+    mirror = lambda a, axis: np.flip(np.roll(a, -1, axis=axis), axis=axis)  # a at -k
     g = make_grid(-3.0, 2.0, n, dim)
-    t = build_kg_tables(g, fd_laplacian_eigenvalues(g), omega=1.3, tau=0.4)
+    lam = fd_laplacian_eigenvalues(g)
+    full = lam.reshape(g.shape)
+    for axis in range(dim):
+        np.testing.assert_array_equal(full, mirror(full, axis), err_msg=f"lam along {axis}")
+    t = build_kg_tables(g, lam, omega=1.3, tau=0.4)
     for name in ("e11", "e12", "e21", "p11", "p12"):
-        block = getattr(t, name).reshape(g.shape)
-        scale = max(1.0, float(np.max(np.abs(block))))
-        for axis in range(dim):
-            mirrored = np.flip(np.roll(block, -1, axis=axis), axis=axis)  # D at -k
-            np.testing.assert_allclose(block, mirrored, rtol=0, atol=1e-13 * scale,
-                                       err_msg=f"{name} along axis {axis}")
-    u = np.random.default_rng(8).normal(size=g.size)
-    out = apply_multipliers(u, t.e12, g)
-    assert np.max(np.abs(out.imag)) <= 1e-13 * max(1.0, np.max(np.abs(out.real)))
+        block = getattr(t, name).reshape(-1, n // 2 + 1)
+        np.testing.assert_array_equal(block, mirror(block, 0), err_msg=name)
 
 
 def test_series_branch_consistency():
