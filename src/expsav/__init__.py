@@ -13,8 +13,8 @@ exponentials diagonalized by the FFT.
 """
 
 from .avf import FixedPointConfig, eavf_step_kg, eavf_step_nls
-from .diagnostics import RunRecord, convergence_orders, energy_deviation, error_norms
-from .errors import ConvergenceError, SolverError
+from .diagnostics import RunRecord, convergence_orders, error_norms
+from .errors import SolverError
 from .grids import (ComplexField, Field, GridSpec, fd_laplacian_eigenvalues,
                     forward_diff_norm, make_grid, norm_l2, sample,
                     spectral_laplacian_eigenvalues)
@@ -23,16 +23,15 @@ from .kg import (KgProblem, KgState, kg_init, kg_modified_energy, kg_original_en
 from .nls import (NlsProblem, NlsState, nls_hamiltonian, nls_init, nls_modified_energy,
                   nls_step)
 from .runner import ProblemSpec, compare_driver, convergence_driver, run
-from .tables import ExpPhiTables, NlsTables, build_kg_tables, build_nls_tables
+from .tables import build_kg_tables, build_nls_tables
 
 __all__ = [
-    "ComplexField", "ConvergenceError", "ExpPhiTables", "Field", "FixedPointConfig",
-    "GridSpec", "KgProblem", "KgState", "NlsProblem", "NlsState", "NlsTables",
-    "ProblemSpec", "RunRecord", "SolverError", "build_kg_tables", "build_nls_tables",
-    "compare_driver", "convergence_driver", "convergence_orders", "eavf_step_kg",
-    "eavf_step_nls", "energy_deviation", "error_norms", "fd_laplacian_eigenvalues",
-    "forward_diff_norm", "kg_init", "kg_modified_energy", "kg_original_energy",
-    "kg_step", "make_grid", "nls_hamiltonian", "nls_init", "nls_modified_energy",
-    "nls_step", "norm_l2", "run", "sample",
+    "ComplexField", "Field", "FixedPointConfig", "GridSpec", "KgProblem", "KgState",
+    "NlsProblem", "NlsState", "ProblemSpec", "RunRecord", "SolverError",
+    "build_kg_tables", "build_nls_tables", "compare_driver", "convergence_driver",
+    "convergence_orders", "eavf_step_kg", "eavf_step_nls", "error_norms",
+    "fd_laplacian_eigenvalues", "forward_diff_norm", "kg_init", "kg_modified_energy",
+    "kg_original_energy", "kg_step", "make_grid", "nls_hamiltonian", "nls_init",
+    "nls_modified_energy", "nls_step", "norm_l2", "run", "sample",
     "spectral_laplacian_eigenvalues",
 ]

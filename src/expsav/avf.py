@@ -18,7 +18,7 @@ wave gradient switches from the divided difference to a 4-point Gauss rule
 on G' -- same identity up to O(du^8), but free of the eps/|du| cancellation
 noise that would otherwise keep the iteration from reaching tol. Both
 implicit updates share one fixed-point loop: it iterates from u^n until the
-sup-norm increment drops below cfg.tol, and stops with ConvergenceError at
+sup-norm increment drops below cfg.tol, and stops with SolverError at
 the first non-finite increment or at the iteration cap.
 """
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import SolverError
 from .fourier import apply_multipliers, forward_values, inverse_values, real_part
 from .kg import KgProblem, KgState, linear_flow
 from .nls import NlsProblem, NlsState
@@ -97,14 +97,12 @@ def _fixed_point(update, u0: np.ndarray, cfg: FixedPointConfig) -> tuple[np.ndar
         u_next = update(u_iter)
         incr = float(np.max(np.abs(u_next - u_iter)))
         if not math.isfinite(incr):
-            raise ConvergenceError(f"fixed point diverged at iteration {it}", iters=it)
+            raise SolverError(f"fixed point diverged at iteration {it}")
         u_iter = u_next
         if incr < cfg.tol:
             return u_iter, it
-    raise ConvergenceError(
-        f"fixed point stalled at increment {incr:g} after {cfg.max_iters} iterations",
-        iters=cfg.max_iters,
-    )
+    raise SolverError(
+        f"fixed point stalled at increment {incr:g} after {cfg.max_iters} iterations")
 
 
 def eavf_step_kg(state: KgState, tables: ExpPhiTables, problem: KgProblem,

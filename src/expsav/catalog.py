@@ -36,7 +36,6 @@ class CatalogEntry:
     default_tau: float
     default_t_end: float
     default_c0: float
-    refine: str                    # "space_time" or "time_only" ladder rule
     make_problem: Callable[[GridSpec, float], KgProblem | NlsProblem]
     exact: Callable | None = None  # sampler (coords..., t) or None
     default_transform: str = "identity"
@@ -140,25 +139,25 @@ def get_entry(problem_id: str) -> CatalogEntry:
 register(CatalogEntry(
     id="sg1d", kind="wave", dim=1, a=-20.0, b=20.0,
     default_n=400, default_tau=0.01, default_t_end=1.0, default_c0=1.0,
-    refine="space_time", make_problem=_sg1d_problem, exact=_sg1d_exact,
+    make_problem=_sg1d_problem, exact=_sg1d_exact,
 ))
 register(CatalogEntry(
     id="sg2d_ring", kind="wave", dim=2, a=-30.0, b=10.0,
     default_n=200, default_tau=0.1, default_t_end=10.0, default_c0=0.0,
-    refine="space_time", make_problem=_sg2d_problem, default_transform="sin_half",
+    make_problem=_sg2d_problem, default_transform="sin_half",
 ))
 register(CatalogEntry(
     id="kg2d_cubic", kind="wave", dim=2, a=-10.0, b=10.0,
     default_n=200, default_tau=0.1, default_t_end=8.0, default_c0=0.0,
-    refine="space_time", make_problem=_kg2d_problem,
+    make_problem=_kg2d_problem,
 ))
 register(CatalogEntry(
     id="nls1d_soliton", kind="schroedinger", dim=1, a=-40.0, b=40.0,
     default_n=4096, default_tau=0.01, default_t_end=1.0, default_c0=0.0,
-    refine="time_only", make_problem=_nls1d_problem, exact=_nls1d_exact,
+    make_problem=_nls1d_problem, exact=_nls1d_exact,
 ))
 register(CatalogEntry(
     id="nls2d_planewave", kind="schroedinger", dim=2, a=0.0, b=2.0 * np.pi,
     default_n=64, default_tau=0.01, default_t_end=1.0, default_c0=0.0,
-    refine="time_only", make_problem=_nls2d_problem, exact=_nls2d_exact,
+    make_problem=_nls2d_problem, exact=_nls2d_exact,
 ))

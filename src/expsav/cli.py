@@ -13,8 +13,9 @@ from pathlib import Path
 
 from .catalog import CATALOG, get_entry
 from .errors import SolverError
-from .runner import (MANIFEST_KEYS, ProblemSpec, compare_driver, convergence_driver,
-                     parse_manifest, run, spec_from_mapping, write_compare_csv, write_ladder_csv)
+from .runner import (MANIFEST_KEYS, SCHEMES, TRANSFORMS, ProblemSpec, compare_driver,
+                     convergence_driver, parse_manifest, run, spec_from_mapping,
+                     write_compare_csv, write_ladder_csv)
 
 EXIT_OK = 0
 EXIT_SOLVER = 2
@@ -38,7 +39,7 @@ def _add_common(p: _Parser, with_scheme: bool = True):
     p.add_argument("--c0", type=float, help="auxiliary-variable shift")
     p.add_argument("--out", help="output directory")
     if with_scheme:
-        p.add_argument("--scheme", choices=("esavs", "eavfs"), help="time integrator")
+        p.add_argument("--scheme", choices=SCHEMES, help="time integrator")
 
 
 def build_parser() -> _Parser:
@@ -49,7 +50,7 @@ def build_parser() -> _Parser:
     _add_common(p_run)
     p_run.add_argument("--cadence", type=int, help="record every this many steps")
     p_run.add_argument("--snapshots", help="comma-separated field-dump times")
-    p_run.add_argument("--transform", choices=("identity", "sin_half"),
+    p_run.add_argument("--transform", choices=TRANSFORMS,
                        help="pointwise transform applied to snapshots")
     p_run.add_argument("--config", help="manifest file; explicit flags override it")
 
@@ -109,9 +110,6 @@ def main(argv=None) -> int:
             for path in result.files:
                 print(f"wrote {path}")
         elif args.command == "converge":
-            if args.levels < 2:
-                print("expsav: config error: --levels must be >= 2", file=sys.stderr)
-                return EXIT_CONFIG
             rows = convergence_driver(spec, args.levels)
             print("level       n        tau       err_l2   order      err_inf   order")
             for r in rows:

@@ -1,4 +1,4 @@
-"""Error norms against analytic solutions, energy drift, convergence orders."""
+"""Error norms against analytic solutions, convergence orders."""
 
 from __future__ import annotations
 
@@ -31,20 +31,8 @@ def error_norms(u_num: Field | ComplexField, exact, t: float) -> tuple[float, fl
     return err_l2, err_inf
 
 
-def convergence_orders(errors) -> list[float]:
-    """log2 ratios of consecutive errors on a step-halving ladder.
-
-    Accepts plain error values or (label, error) pairs.
-    """
-    vals = [e[1] if isinstance(e, (tuple, list)) else e for e in errors]
-    if any(v <= 0.0 for v in vals):
+def convergence_orders(errors: list[float]) -> list[float]:
+    """log2 ratios of consecutive errors on a step-halving ladder."""
+    if any(e <= 0.0 for e in errors):
         raise ValueError("errors must be positive to estimate orders")
-    return [math.log2(prev / cur) for prev, cur in zip(vals, vals[1:])]
-
-
-def energy_deviation(records: list[RunRecord]) -> np.ndarray:
-    """|E^n - E^0| for the modified-energy column of a run."""
-    if not records:
-        raise ValueError("no records")
-    e = np.array([r.E_mod for r in records])
-    return np.abs(e - e[0])
+    return [math.log2(prev / cur) for prev, cur in zip(errors, errors[1:])]

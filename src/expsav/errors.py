@@ -7,14 +7,6 @@ class SolverError(RuntimeError):
     """A step failed: a singular or non-finite solve, or a diverging iteration."""
 
 
-class ConvergenceError(SolverError):
-    """Fixed-point iteration diverged or missed tolerance within the iteration cap."""
-
-    def __init__(self, message: str, iters: int):
-        super().__init__(message)
-        self.iters = iters
-
-
 def require_positive(value: float, what: str) -> float:
     """Return value when it is finite and positive; raise SolverError otherwise."""
     if not math.isfinite(value):

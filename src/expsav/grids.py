@@ -50,7 +50,7 @@ class GridSpec:
     @property
     def cell(self) -> float:
         """Measure of one grid cell: h in 1D, hx*hy in 2D."""
-        return float(np.prod(self.h))
+        return math.prod(self.h)
 
     @property
     def size(self) -> int:

@@ -328,7 +328,7 @@ def convergence_driver(base: ProblemSpec, levels: int) -> list[LadderRow]:
     rows: list[LadderRow] = []
     for level in range(levels):
         factor = 2**level
-        n = n0 * factor if entry.refine == "space_time" else n0
+        n = n0 * factor if entry.kind == "wave" else n0
         spec = replace(base, n=n, tau=tau / factor, out=None)
         result = run(spec)
         last = result.records[-1]

@@ -48,7 +48,6 @@ class ExpPhiTables:
 
     grid: GridSpec
     tau: float
-    omega: float
     e11: np.ndarray
     e12: np.ndarray
     e21: np.ndarray
@@ -110,7 +109,6 @@ def build_kg_tables(grid: GridSpec, lam: np.ndarray, omega: float, tau: float) -
     return ExpPhiTables(
         grid=grid,
         tau=float(tau),
-        omega=float(omega),
         e11=np.cos(x),
         e12=tau * s1,
         e21=-tau * mu2 * s1,

@@ -4,7 +4,7 @@ import pytest
 from expsav.avf import (FixedPointConfig, avf_gradient_kg, avf_gradient_nls, eavf_step_kg,
                         eavf_step_nls)
 from expsav.catalog import get_entry
-from expsav.errors import ConvergenceError
+from expsav.errors import SolverError
 from expsav.grids import (Field, GridSpec, fd_laplacian_eigenvalues, make_grid,
                           spectral_laplacian_eigenvalues)
 from expsav.kg import KgProblem, KgState, kg_init, kg_original_energy
@@ -55,7 +55,7 @@ def test_nonconvergence_raises():
     grid = entry.make_grid(64)
     problem = entry.make_problem(grid, 1.0)
     tables = build_kg_tables(grid, fd_laplacian_eigenvalues(grid), 1.0, 0.01)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(SolverError, match="stalled"):
         eavf_step_kg(kg_init(problem), tables, problem,
                      FixedPointConfig(tol=1e-14, max_iters=1))
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from expsav.diagnostics import RunRecord, convergence_orders, energy_deviation, error_norms
+from expsav.diagnostics import convergence_orders, error_norms
 from expsav.grids import Field, make_grid, sample
 
 
@@ -39,7 +39,6 @@ def test_orders_table_values():
 
 def test_orders_trivial():
     assert convergence_orders([0.5, 0.5]) == [0.0]
-    assert convergence_orders([(("lvl0"), 1.0), ("lvl1", 1.0 / 8.0)])[0] == pytest.approx(3.0)
 
 
 def test_orders_synthetic_h2_ladder():
@@ -53,16 +52,3 @@ def test_orders_reject_nonpositive():
         convergence_orders([1.0, 0.0])
     with pytest.raises(ValueError):
         convergence_orders([1.0, -2.0])
-
-
-def test_energy_deviation():
-    records = [RunRecord(t=float(k), E_mod=1.0) for k in range(4)]
-    np.testing.assert_array_equal(energy_deviation(records), 0.0)
-    bump = 2.0**-40  # exactly representable increment near 1e-12
-    records = [RunRecord(t=0.0, E_mod=1.0), RunRecord(t=1.0, E_mod=1.0 + bump)]
-    np.testing.assert_array_equal(energy_deviation(records), [0.0, bump])
-
-
-def test_energy_deviation_empty():
-    with pytest.raises(ValueError):
-        energy_deviation([])

@@ -1,4 +1,6 @@
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -10,7 +12,7 @@ import pytest
 import expsav
 from expsav import kg
 from expsav.catalog import CATALOG, CatalogEntry, register
-from expsav.cli import main
+from expsav.cli import build_parser, main
 from expsav.kg import KgProblem
 from expsav.runner import (ProblemSpec, compare_driver, convergence_driver, parse_manifest,
                            read_snapshot, run, spec_from_mapping, spec_to_manifest)
@@ -136,7 +138,6 @@ def test_compare_driver_trivial_problem_and_iteration_counts():
         register(CatalogEntry(
             id="zero1d", kind="wave", dim=1, a=-1.0, b=1.0,
             default_n=32, default_tau=0.1, default_t_end=1.0, default_c0=1.0,
-            refine="space_time",
             make_problem=lambda grid, c0: KgProblem(
                 grid=grid, omega=1.0,
                 G=lambda u: 1.0 - np.cos(u), Gp=np.sin,
@@ -278,6 +279,19 @@ def test_cli_compare(tmp_path, capsys):
     lines = (tmp_path / "compare.csv").read_text().splitlines()
     assert lines[0].startswith("scheme,")
     assert len(lines) == 3
+
+
+def test_readme_commands_parse():
+    # the README's sh blocks carry the experiment commands; keep them runnable
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text(), re.S | re.M)
+    commands = [shlex.split(line, comments=True) for block in blocks
+                for line in block.splitlines() if line.startswith("expsav ")]
+    assert {argv[1] for argv in commands} == {"run", "converge", "compare"}
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv[1:])
+        assert args.problem in CATALOG, argv
 
 
 # ---------------------------------------------------------------- failure paths
