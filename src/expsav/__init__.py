@@ -15,9 +15,8 @@ exponentials diagonalized by the FFT.
 from .avf import FixedPointConfig, eavf_step_kg, eavf_step_nls
 from .diagnostics import RunRecord, convergence_orders, error_norms
 from .errors import SolverError
-from .grids import (ComplexField, Field, GridSpec, fd_laplacian_eigenvalues,
-                    forward_diff_norm, make_grid, norm_l2, sample,
-                    spectral_laplacian_eigenvalues)
+from .grids import (ComplexField, Field, GridSpec, fd_laplacian_eigenvalues, make_grid,
+                    sample, spectral_laplacian_eigenvalues)
 from .kg import (KgProblem, KgState, kg_init, kg_modified_energy, kg_original_energy,
                  kg_step)
 from .nls import (NlsProblem, NlsState, nls_hamiltonian, nls_init, nls_modified_energy,
@@ -30,8 +29,8 @@ __all__ = [
     "NlsProblem", "NlsState", "ProblemSpec", "RunRecord", "SolverError",
     "build_kg_tables", "build_nls_tables", "compare_driver", "convergence_driver",
     "convergence_orders", "eavf_step_kg", "eavf_step_nls", "error_norms",
-    "fd_laplacian_eigenvalues", "forward_diff_norm", "kg_init", "kg_modified_energy",
+    "fd_laplacian_eigenvalues", "kg_init", "kg_modified_energy",
     "kg_original_energy", "kg_step", "make_grid", "nls_hamiltonian", "nls_init",
-    "nls_modified_energy", "nls_step", "norm_l2", "run", "sample",
+    "nls_modified_energy", "nls_step", "run", "sample",
     "spectral_laplacian_eigenvalues",
 ]

@@ -20,6 +20,10 @@ noise that would otherwise keep the iteration from reaching tol. Both
 implicit updates share one fixed-point loop: it iterates from u^n until the
 sup-norm increment drops below cfg.tol, and stops with SolverError at
 the first non-finite increment or at the iteration cap.
+
+The linear flow acts on the state's spectra: one inverse starts the
+iteration, each iteration makes a forward/inverse pair, and the step ends
+with forward transforms of u' and, for the wave, of the chord average in v'.
 """
 
 from __future__ import annotations
@@ -105,6 +109,7 @@ def _fixed_point(update, u0: np.ndarray, cfg: FixedPointConfig) -> tuple[np.ndar
         f"fixed point stalled at increment {incr:g} after {cfg.max_iters} iterations")
 
 
+@np.errstate(all="ignore")
 def eavf_step_kg(state: KgState, tables: ExpPhiTables, problem: KgProblem,
                  cfg: FixedPointConfig) -> tuple[KgState, int]:
     """One implicit step; returns (new state, fixed-point iteration count)."""
@@ -113,23 +118,26 @@ def eavf_step_kg(state: KgState, tables: ExpPhiTables, problem: KgProblem,
         raise ValueError("tables built on a different grid")
     tau = tables.tau
     u = state.u.values
-    fu, fv = forward_values(u, grid), forward_values(state.v.values, grid)
-    zu, zv = (real_part(inverse_values(fz, grid)) for fz in linear_flow(fu, fv, tables))
+    fzu, fzv = linear_flow(state.u_spectrum, state.v_spectrum, tables)
+    zu = real_part(inverse_values(fzu, grid))
 
     # the iteration adds the small phi-gradient term to the physical zu: its
     # roundoff scales with that term, not with |zu|, near the 1e-14 stop
-    def phi_gradient(u_iter, phi):
+    def update(u_iter):
         ffb = forward_values(avf_gradient_kg(problem, u, u_iter), grid)
-        return tau * real_part(inverse_values(phi * ffb, grid))
+        return zu - tau * real_part(inverse_values(tables.p12 * ffb, grid))
 
-    u_new, it = _fixed_point(lambda u_iter: zu - phi_gradient(u_iter, tables.p12), u, cfg)
-    v_new = zv - phi_gradient(u_new, tables.p11)
+    u_new, it = _fixed_point(update, u, cfg)
+    ffb = forward_values(avf_gradient_kg(problem, u, u_new), grid)
+    fv_new = fzv - tau * (tables.p11 * ffb)
 
     # q is not evolved by this scheme; keep it consistent with its definition
     radicand = grid.cell * float(np.sum(problem.G(u_new))) + problem.C0
-    return state.advance(tau, u_new, np.sqrt(radicand), v=v_new), it
+    return state.advance(tau, u_new, np.sqrt(radicand),
+                         u_spectrum=forward_values(u_new, grid), v_spectrum=fv_new), it
 
 
+@np.errstate(all="ignore")
 def eavf_step_nls(state: NlsState, tables: NlsTables, problem: NlsProblem,
                   cfg: FixedPointConfig) -> tuple[NlsState, int]:
     """One implicit step of the Schroedinger baseline; returns (state, iterations)."""
@@ -139,7 +147,7 @@ def eavf_step_nls(state: NlsState, tables: NlsTables, problem: NlsProblem,
     tau = tables.tau
     u = state.u.values
 
-    eu = apply_multipliers(u, tables.expD, grid)
+    eu = inverse_values(tables.expD * state.u_spectrum, grid)
     coeff = 1j * problem.beta * tau
     u_new, it = _fixed_point(
         lambda u_iter: eu + coeff * apply_multipliers(avf_gradient_nls(u, u_iter),
@@ -147,4 +155,5 @@ def eavf_step_nls(state: NlsState, tables: NlsTables, problem: NlsProblem,
         u, cfg)
 
     radicand = grid.cell * float(np.sum(np.abs(u_new) ** 4)) + problem.C0
-    return state.advance(tau, u_new, np.sqrt(radicand)), it
+    return state.advance(tau, u_new, np.sqrt(radicand),
+                         u_spectrum=forward_values(u_new, grid)), it

@@ -60,6 +60,7 @@ def build_parser() -> _Parser:
 
     p_cmp = sub.add_parser("compare", help="run both schemes on identical settings")
     _add_common(p_cmp, with_scheme=False)
+    p_cmp.add_argument("--cadence", type=int, help="sample E_mod every this many steps")
     return parser
 
 

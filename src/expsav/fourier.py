@@ -24,14 +24,18 @@ Two layouts share these functions, chosen by the data type:
 
 When the last axis has 2 nodes the half spectrum is the full one; it then
 inverts through the complex path, which is exact there, and real_part
-drops the zero imaginary part.
+drops the zero imaginary part; so every inverse of a wave stepper or state
+(u' of the SAV step, AVF iterates, a velocity from its spectrum) goes through it.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .grids import GridSpec
+if TYPE_CHECKING:
+    from .grids import GridSpec
 
 
 def _half_shape(grid: GridSpec) -> tuple[int, ...]:

@@ -13,10 +13,12 @@ which makes norms and energies direct analogues of their integrals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import fourier
 from .errors import SolverError
 
 
@@ -91,7 +93,7 @@ class Field:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64).ravel()
         object.__setattr__(self, "values", vals)
-        _check_values(self.grid, vals)
+        _check_values(vals, self.grid.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,14 +106,15 @@ class ComplexField:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.complex128).ravel()
         object.__setattr__(self, "values", vals)
-        _check_values(self.grid, vals)
+        _check_values(vals, self.grid.size)
 
 
-def _check_values(grid: GridSpec, vals: np.ndarray):
-    if vals.size != grid.size:
-        raise ValueError(f"field has {vals.size} values, grid has {grid.size} nodes")
+def _check_values(vals: np.ndarray, size: int | None = None) -> np.ndarray:
+    if size is not None and vals.size != size:
+        raise ValueError(f"field has {vals.size} values, grid has {size} nodes")
     if not np.all(np.isfinite(vals)):
         raise ValueError("field contains non-finite values")
+    return vals
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +123,9 @@ class State:
 
     q starts positive; the evolved value may pass through zero when C0 = 0
     (only q^2 enters the energy, so the sign is immaterial).
+
+    u_spectrum (the half spectrum if u is real) is the one a step passed on,
+    or else u's transform, formed on first read; either way it is kept.
     """
 
     u: Field | ComplexField
@@ -132,28 +138,44 @@ class State:
         if self.u_prev is None and self.n != 0:
             raise ValueError("only the initial state may lack a previous level")
 
+    @cached_property
+    def u_spectrum(self) -> np.ndarray:
+        return fourier.forward_values(self.u.values, self.u.grid)
+
+    def _keep(self, **known) -> State:
+        # seed the cached properties: a frozen dataclass blocks setattr, not the dict
+        self.__dict__.update((name, val) for name, val in known.items() if val is not None)
+        return self
+
     def predictor(self) -> np.ndarray:
         """Extrapolated half-step value (3 u^n - u^{n-1})/2; u^0 boots the first step."""
         if self.u_prev is None:
             return self.u.values
         return 1.5 * self.u.values - 0.5 * self.u_prev.values
 
-    def advance(self, tau: float, u: np.ndarray, q: float, **fields: np.ndarray) -> State:
+    def advance(self, tau: float, u: np.ndarray, q: float, u_spectrum: np.ndarray | None = None,
+                **fields: np.ndarray) -> State:
         """The state one step of size tau later, holding the step's u, q and other fields.
 
-        Every stepper returns through here, so this is where a step's result
-        is checked: a non-finite u, other field (v) or q raises SolverError.
+        A field is given by its node values (v) or its spectrum (v_spectrum).
+        Every stepper returns through here, so this is where a step's result is
+        checked: a non-finite u, other field or q raises SolverError (u_spectrum
+        is the transform of the checked u). The steppers run under
+        np.errstate(all="ignore"): a failing step overflows on its way to their
+        guards or to these checks, and numpy's warnings would only repeat them.
         """
         n = self.n + 1
-        wrapped = {}
+        checked = {}
         for name, values in {"u": u, **fields}.items():
             try:
-                wrapped[name] = type(self.u)(self.u.grid, values)
+                checked[name] = (_check_values(values) if name.endswith("_spectrum")
+                                 else type(self.u)(self.u.grid, values))
             except ValueError as exc:
                 raise SolverError(f"step {n} yields an invalid {name}: {exc}") from exc
         if not math.isfinite(q):
             raise SolverError(f"step {n} yields a non-finite q ({q:g})")
-        return replace(self, **wrapped, q=float(q), u_prev=self.u, n=n, t=n * tau)
+        new = type(self)(**checked, q=float(q), u_prev=self.u, n=n, t=n * tau)
+        return new._keep(u_spectrum=u_spectrum)
 
 
 def sample(grid: GridSpec, fn, t: float | None = None) -> np.ndarray:
@@ -197,21 +219,3 @@ def spectral_laplacian_eigenvalues(grid: GridSpec) -> np.ndarray:
     if grid.dim == 1:
         return per_axis[0]
     return np.add.outer(per_axis[0], per_axis[1]).ravel()
-
-
-def norm_l2(u: Field | ComplexField) -> float:
-    return float(np.sqrt(u.grid.cell * np.vdot(u.values, u.values).real))
-
-
-def forward_diff_norm(u: Field | ComplexField) -> float:
-    """Periodic forward-difference seminorm ||d+ u||.
-
-    1D: sqrt(h * sum |(u_{j+1} - u_j)/h|^2); in 2D both axis contributions
-    are summed under the cell measure.
-    """
-    vals = u.values.reshape(u.grid.shape)
-    acc = 0.0
-    for axis in range(u.grid.dim):
-        diff = (np.roll(vals, -1, axis=axis) - vals) / u.grid.h[axis]
-        acc += np.sum(np.abs(diff) ** 2)
-    return float(np.sqrt(u.grid.cell * acc))

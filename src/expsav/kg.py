@@ -19,24 +19,24 @@ step to ONE scalar equation: with w = G'(uhat), s^2 = <G(uhat), 1> + C0,
     v' = e21 u + e11 v - (tau (q+q')/(2 s)) * phi11 w    (e22 = e11, phi22 = phi11).
 
 The update conserves E exactly in exact arithmetic, with no nonlinear
-iteration anywhere. Every field is real, so the step works on half
-spectra: it transforms u, v and w forward, forms e11 u + e12 v and
-phi12 w there, takes <w, e11 u + e12 v> and <w, phi12 w> by Parseval
-(<w, u> stays a physical product), and inverts once for u' and once for
-v': five real FFTs and one scalar solve. q' uses the physical
-<w, u' - u> of the new u, which keeps the energy drift at roundoff.
+iteration anywhere. The state keeps the half spectra of u and v, where
+the linear flow is a product: a step transforms w forward, takes
+<w, e11 u + e12 v> and <w, phi12 w> by Parseval, and inverts once for
+u': two real FFTs and one scalar solve. v' stays a half spectrum. q'
+uses the physical <w, u' - u>, which keeps the energy drift at roundoff.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import require_positive
-from .fourier import forward_values, half_inner, inverse_values, real_part
-from .grids import Field, GridSpec, State, forward_diff_norm, norm_l2, sample
+from .fourier import forward_values, half_inner, half_spectrum, inverse_values, real_part
+from .grids import Field, GridSpec, State, fd_laplacian_eigenvalues, sample
 from .tables import ExpPhiTables
 
 
@@ -57,11 +57,26 @@ class KgProblem:
     C0: float = 0.0
 
 
-@dataclass(frozen=True, eq=False)
 class KgState(State):
-    """The common state record plus the velocity v = u_t."""
+    """The common state record plus the velocity v = u_t.
 
-    v: Field
+    v is given as node values, as its half spectrum v_spectrum (as the
+    steppers do), or both; the other side is transformed on first read and kept.
+    """
+
+    def __init__(self, *, v: Field | None = None, v_spectrum: np.ndarray | None = None, **common):
+        if v is None and v_spectrum is None:
+            raise ValueError("the velocity needs its node values or its half spectrum")
+        super().__init__(**common)
+        self._keep(v=v, v_spectrum=v_spectrum)
+
+    @cached_property
+    def v(self) -> Field:
+        return Field(self.u.grid, real_part(inverse_values(self.v_spectrum, self.u.grid)))
+
+    @cached_property
+    def v_spectrum(self) -> np.ndarray:
+        return forward_values(self.v.values, self.u.grid)
 
 
 def kg_init(problem: KgProblem) -> KgState:
@@ -85,6 +100,7 @@ def linear_flow(fu: np.ndarray, fv: np.ndarray,
     return tables.e11 * fu + tables.e12 * fv, tables.e21 * fu + tables.e11 * fv
 
 
+@np.errstate(all="ignore")
 def kg_step(state: KgState, tables: ExpPhiTables, problem: KgProblem) -> KgState:
     """Advance one step of size tables.tau; returns the new state."""
     grid = problem.grid
@@ -92,7 +108,7 @@ def kg_step(state: KgState, tables: ExpPhiTables, problem: KgProblem) -> KgState
         raise ValueError("tables built on a different grid")
     cell = grid.cell
     tau = tables.tau
-    u, v, q = state.u.values, state.v.values, state.q
+    u, q = state.u.values, state.q
 
     uhat = state.predictor()
     s2 = require_positive(cell * float(np.sum(problem.G(uhat))) + problem.C0,
@@ -100,8 +116,8 @@ def kg_step(state: KgState, tables: ExpPhiTables, problem: KgProblem) -> KgState
     s = np.sqrt(s2)
     w = problem.Gp(uhat)
 
-    fu, fv, fw = (forward_values(x, grid) for x in (u, v, w))
-    fzu, fzv = linear_flow(fu, fv, tables)
+    fw = forward_values(w, grid)
+    fzu, fzv = linear_flow(state.u_spectrum, state.v_spectrum, tables)
     fphi12_w = tables.p12 * fw
 
     # gamma = c * phi12 w; <w, gamma> and <w, g> follow from <w, phi12 w>
@@ -114,19 +130,33 @@ def kg_step(state: KgState, tables: ExpPhiTables, problem: KgProblem) -> KgState
 
     # u' = g - gamma <w, u'> = zu + alpha * phi12 w
     alpha = c * (w_u - w_dot_unew) - tau * q / s
-    u_new = real_part(inverse_values(fzu + alpha * fphi12_w, grid))
+    fu_new = fzu + alpha * fphi12_w
+    u_new = real_part(inverse_values(fu_new, grid))
     q_new = q + cell * float(w @ (u_new - u)) / (2.0 * s)
     beta = tau * 0.5 * (q + q_new) / s
-    v_new = real_part(inverse_values(fzv - beta * (tables.p11 * fw), grid))
+    fv_new = fzv - beta * (tables.p11 * fw)
+    return state.advance(tau, u_new, q_new, u_spectrum=fu_new, v_spectrum=fv_new)
 
-    return state.advance(tau, u_new, q_new, v=v_new)
+
+@lru_cache(maxsize=16)
+def _fd_symbol(grid: GridSpec) -> np.ndarray:
+    """Eigenvalues of the FD Laplacian on the half spectrum, built once per grid."""
+    return half_spectrum(fd_laplacian_eigenvalues(grid), grid)
+
+
+def _quadratic_energy(state: KgState, problem: KgProblem) -> float:
+    """1/2||v||^2 + omega^2/2 ||d+ u||^2 from the half spectra, with no transform.
+
+    By summation by parts ||d+ u||^2 = -<B2 u, u>, and B2 has the FD symbol lam.
+    """
+    grid, fu, fv = state.u.grid, state.u_spectrum, state.v_spectrum
+    gradient = -half_inner(_fd_symbol(grid) * fu, fu, grid)
+    return 0.5 * half_inner(fv, fv, grid) + 0.5 * problem.omega**2 * gradient
 
 
 def kg_modified_energy(state: KgState, problem: KgProblem) -> float:
     """Conserved quadratic energy 1/2||v||^2 + omega^2/2 ||d+ u||^2 + q^2 - C0."""
-    kinetic = 0.5 * norm_l2(state.v) ** 2
-    gradient = 0.5 * problem.omega**2 * forward_diff_norm(state.u) ** 2
-    return kinetic + gradient + state.q**2 - problem.C0
+    return _quadratic_energy(state, problem) + state.q**2 - problem.C0
 
 
 def kg_original_energy(state: KgState, problem: KgProblem) -> float:
@@ -134,7 +164,5 @@ def kg_original_energy(state: KgState, problem: KgProblem) -> float:
 
     Monitored only: the SAV stepper conserves the modified energy, not this.
     """
-    kinetic = 0.5 * norm_l2(state.v) ** 2
-    gradient = 0.5 * problem.omega**2 * forward_diff_norm(state.u) ** 2
     potential = state.u.grid.cell * float(np.sum(problem.G(state.u.values)))
-    return kinetic + gradient + potential
+    return _quadratic_energy(state, problem) + potential

@@ -15,6 +15,10 @@ recovered explicitly and q advances through its midpoint value:
 
     q^{n+1/2} = q^n + (X + Y)/2 - Re<gamma, u^n>,   q' = 2 q^{n+1/2} - q^n.
 
+The state keeps the spectrum of u: a step transforms gamma forward, takes
+<gamma, Phi gamma> and <gamma, b> by Parseval and inverts once for u':
+two complex FFTs and one 2x2 solve.
+
 The conserved functional (see nls_modified_energy) is
 <Lap u, u> + beta/2 q^2 - beta/2 C0, which reduces to the continuous
 Hamiltonian integral of (-|grad u|^2 + beta/2 |u|^4) at t = 0.
@@ -23,12 +27,15 @@ Hamiltonian integral of (-|grad u|^2 + beta/2 |u|^4) at t = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
+from . import fourier
 from .errors import SolverError, require_positive
-from .fourier import apply_multipliers
+# unused here; kept only because bench/tracer.py patches nls.apply_multipliers
+from .fourier import apply_multipliers  # noqa: F401
 from .grids import ComplexField, GridSpec, State, sample, spectral_laplacian_eigenvalues
 from .tables import NlsTables
 
@@ -63,6 +70,7 @@ def nls_init(problem: NlsProblem) -> NlsState:
                     u_prev=None, n=0, t=0.0)
 
 
+@np.errstate(all="ignore")
 def nls_step(state: NlsState, tables: NlsTables, problem: NlsProblem) -> NlsState:
     """Advance one step of size tables.tau; returns the new state."""
     grid = problem.grid
@@ -77,14 +85,15 @@ def nls_step(state: NlsState, tables: NlsTables, problem: NlsProblem) -> NlsStat
     s2 = require_positive(cell * float(np.sum(abs2**2)) + problem.C0, "<|uhat|^4, 1> + C0")
     s = np.sqrt(s2)
     gamma = (abs2 * uhat) / s
+    fgamma = fourier.forward_values(gamma, grid)
+    fphi_gamma = (1j * problem.beta * tau) * (tables.sigma * fgamma)
 
-    eu = apply_multipliers(u, tables.expD, grid)
-    phi_gamma = 1j * problem.beta * tau * apply_multipliers(gamma, tables.sigma, grid)
-
-    # <a, b> = cell * sum a conj(b); vdot conjugates its first argument
-    ip_gamma_u = cell * np.vdot(u, gamma)            # <gamma, u^n>
-    b = eu + phi_gamma * (q - ip_gamma_u.real)       # <g,u> + <u,g> = 2 Re<g,u>
-    a = cell * np.vdot(phi_gamma, gamma)             # <gamma, Phi gamma>
+    # <a, b> = cell sum a conj(b) = cell/N sum A conj(B) (Parseval); vdot conjugates a
+    cell_n = cell / grid.size
+    ip_gamma_u = cell * np.vdot(u, gamma)                 # <gamma, u^n>
+    # <g,u> + <u,g> = 2 Re<g,u>
+    fb = tables.expD * state.u_spectrum + fphi_gamma * (q - ip_gamma_u.real)
+    a = cell_n * np.vdot(fphi_gamma, fgamma)              # <gamma, Phi gamma>
 
     # [[1 - a/2, -a/2], [-conj(a)/2, 1 - conj(a)/2]] @ (X, Y) = (<gamma,b>, <b,gamma>)
     if not np.isfinite(a):
@@ -92,24 +101,27 @@ def nls_step(state: NlsState, tables: NlsTables, problem: NlsProblem) -> NlsStat
     det = 1.0 - a.real
     if abs(det) < _DET_TOL * (1.0 + abs(a)):
         raise SolverError(f"2x2 closure is singular (det = {det:g}); tables are corrupted")
-    rhs1 = cell * np.vdot(b, gamma)                  # <gamma, b>
-    rhs2 = np.conj(rhs1)                             # <b, gamma>
+    rhs1 = cell_n * np.vdot(fb, fgamma)                   # <gamma, b>
+    rhs2 = np.conj(rhs1)                                  # <b, gamma>
     ac = np.conj(a)
     x = ((1.0 - 0.5 * ac) * rhs1 + 0.5 * a * rhs2) / det
     y = (0.5 * ac * rhs1 + (1.0 - 0.5 * a) * rhs2) / det
 
-    u_new = 0.5 * phi_gamma * (x + y) + b
+    fu_new = (0.5 * (x + y)) * fphi_gamma + fb
+    u_new = fourier.inverse_values(fu_new, grid)
     q_half = q + 0.5 * (x + y).real - ip_gamma_u.real
     q_new = 2.0 * q_half - q
+    return state.advance(tau, u_new, q_new, u_spectrum=fu_new)
 
-    return state.advance(tau, u_new, q_new)
+
+# the eigenvalues are built once per grid
+_laplacian_symbol = lru_cache(maxsize=16)(spectral_laplacian_eigenvalues)
 
 
 def nls_kinetic(state: NlsState, problem: NlsProblem) -> float:
-    """<Lap u, u> evaluated through the spectral symbol (a real number <= 0)."""
-    lam = spectral_laplacian_eigenvalues(problem.grid)
-    du = apply_multipliers(state.u.values, lam.astype(np.complex128), problem.grid)
-    return float((problem.grid.cell * np.vdot(state.u.values, du)).real)
+    """<Lap u, u> = cell/N * sum lam |u_k|^2 by Parseval (a real number <= 0)."""
+    grid, fu = problem.grid, state.u_spectrum
+    return grid.cell / grid.size * float(np.vdot(fu, _laplacian_symbol(grid) * fu).real)
 
 
 def nls_modified_energy(state: NlsState, problem: NlsProblem) -> float:

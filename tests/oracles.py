@@ -3,6 +3,7 @@
 Everything here is deliberately O(N^2)/O(N^3): explicit DFT matrices,
 circulant stencil matrices, scipy's scaling-and-squaring matrix exponential
 and Gauss-Legendre quadrature for the phi operator, and direct dense solves.
+The exceptions are the physical norms, which sum over the nodes directly.
 None of it shares code paths with the package under test.
 """
 
@@ -20,6 +21,25 @@ def inner_l2(u, v):
     if np.isrealobj(u.values) and np.isrealobj(v.values):
         return float(out.real)
     return complex(out)
+
+
+def norm_l2(u) -> float:
+    """Discrete L2 norm sqrt(<u, u>) of a field."""
+    return float(np.sqrt(u.grid.cell * np.vdot(u.values, u.values).real))
+
+
+def forward_diff_norm(u) -> float:
+    """Periodic forward-difference seminorm ||d+ u|| of a field.
+
+    1D: sqrt(h * sum |(u_{j+1} - u_j)/h|^2); in 2D both axis contributions
+    are summed under the cell measure.
+    """
+    vals = u.values.reshape(u.grid.shape)
+    acc = 0.0
+    for axis in range(u.grid.dim):
+        diff = (np.roll(vals, -1, axis=axis) - vals) / u.grid.h[axis]
+        acc += np.sum(np.abs(diff) ** 2)
+    return float(np.sqrt(u.grid.cell * acc))
 
 
 def naive_dft(u: np.ndarray) -> np.ndarray:

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expsav.errors import SolverError
-from expsav.grids import (ComplexField, Field, State, fd_laplacian_eigenvalues,
-                          forward_diff_norm, make_grid, norm_l2, spectral_laplacian_eigenvalues)
+from expsav.grids import (ComplexField, Field, State, fd_laplacian_eigenvalues, make_grid,
+                          spectral_laplacian_eigenvalues)
 from expsav.kg import KgState
 from expsav.nls import NlsState
 
 import oracles
-from oracles import inner_l2
+from oracles import forward_diff_norm, inner_l2, norm_l2
 
 
 def test_make_grid_1d_paper_domain():

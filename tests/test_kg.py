@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from expsav import kg
 from expsav.catalog import get_entry, sech
 from expsav.errors import SolverError
 from expsav.grids import Field, GridSpec, fd_laplacian_eigenvalues, make_grid
@@ -209,24 +208,15 @@ def test_step_rejects_bad_denominator(bad):
         kg_step(state, corrupted, problem)
 
 
-def test_step_does_five_real_transforms(monkeypatch):
-    # 3 forward (u, v, w) real in, 2 inverse (u', v') real out
-    calls = []
-
-    def counted(kind, fn):
-        def wrapper(values, grid):
-            out = fn(values, grid)
-            calls.append((kind, np.isrealobj(values if kind == "forward" else out)))
-            return out
-        return wrapper
-
-    monkeypatch.setattr(kg, "forward_values", counted("forward", kg.forward_values))
-    monkeypatch.setattr(kg, "inverse_values", counted("inverse", kg.inverse_values))
+def test_step_does_two_real_transforms(transforms):
+    # 1 forward (w) real in, 1 inverse (u') real out; v' stays a half spectrum
     grid = make_grid(-1.0, 1.0, 8, 2)
     problem = sine_gordon_problem(grid)
     tables = build_kg_tables(grid, fd_laplacian_eigenvalues(grid), 1.0, 0.1)
-    kg_step(random_state(problem, np.random.default_rng(5), 0.1), tables, problem)
-    assert sorted(calls) == [("forward", True)] * 3 + [("inverse", True)] * 2
+    state = kg_step(random_state(problem, np.random.default_rng(5), 0.1), tables, problem)
+    transforms.clear()
+    kg_step(state, tables, problem)
+    assert sorted(transforms) == [("forward", True), ("inverse", True)]
 
 
 # ---------------------------------------------------------------- energies
@@ -286,7 +276,7 @@ def test_conservation_across_resolutions(n):
 
 def test_long_run_boundedness():
     # conserved quadratic energy caps ||v||, ||d+ u|| and |q| uniformly in time
-    from expsav.grids import forward_diff_norm, norm_l2
+    from oracles import forward_diff_norm, norm_l2
     entry = get_entry("sg1d")
     grid = entry.make_grid(400)
     problem = entry.make_problem(grid, 1.0)

@@ -102,7 +102,7 @@ def test_step_matches_dense_oracle_2d():
     assert new.q == pytest.approx(q_ref, abs=1e-11)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_step_rejects_nonfinite_closure(bad):
     grid = make_grid(0, 2 * np.pi, 8, 1)
@@ -113,6 +113,18 @@ def test_step_rejects_nonfinite_closure(bad):
     state = random_state(problem, np.random.default_rng(4), 0.01)
     with pytest.raises(SolverError, match="<gamma, Phi gamma> is non-finite"):
         nls_step(state, corrupted, problem)
+
+
+def test_step_does_two_complex_transforms(transforms):
+    # 1 forward (gamma) complex in, 1 inverse (u') complex out
+    grid = make_grid(0, 2 * np.pi, 16, 1)
+    problem = NlsProblem(grid=grid, beta=2.0, u0=lambda x: np.zeros_like(x, dtype=complex),
+                         C0=0.5)
+    tables = build_nls_tables(grid, spectral_laplacian_eigenvalues(grid), 0.01)
+    state = nls_step(random_state(problem, np.random.default_rng(6), 0.01), tables, problem)
+    transforms.clear()
+    nls_step(state, tables, problem)
+    assert sorted(transforms) == [("forward", False), ("inverse", False)]
 
 
 def test_step_rejects_nonfinite_radicand():

@@ -281,6 +281,20 @@ def test_cli_compare(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_cli_compare_cadence_matches_every_step_run(tmp_path, capsys):
+    # compare --cadence 1 samples E_mod at every step, as run --cadence 1 writes it
+    base = ["--problem", "sg1d", "--n", "100", "--tau", "0.1", "--t-end", "2"]
+    assert main(["compare", *base, "--cadence", "1", "--out", str(tmp_path)]) == 0
+    rows = [line.split(",") for line in (tmp_path / "compare.csv").read_text().splitlines()[1:]]
+    for scheme, _, _, drift, _, _ in rows:
+        out = tmp_path / scheme
+        assert main(["run", *base, "--scheme", scheme, "--cadence", "1", "--out", str(out)]) == 0
+        e_mod = np.loadtxt(out / "run.csv", delimiter=",", skiprows=1, usecols=1)
+        assert len(e_mod) == 21
+        assert float(drift) == np.max(np.abs(e_mod - e_mod[0]))
+    capsys.readouterr()
+
+
 def test_readme_commands_parse():
     # the README's sh blocks carry the experiment commands; keep them runnable
     readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -302,7 +316,7 @@ DIVERGING_EAVFS = ["run", "--problem", "kg2d_cubic", "--tau", "4", "--t-end", "4
 DIVERGED_MSG = "expsav: solver failure: fixed point diverged at iteration 9\n"
 # an esavs blow-up: the guarded scalars of step 22 stay finite, but the solution
 # of the 2x2 closure overflows and the step returns a non-finite u
-NONFINITE_ESAVS = ["run", "--problem", "nls2d_planewave", "--n", "16", "--tau", "4",
+NONFINITE_ESAVS = ["run", "--problem", "nls2d_planewave", "--n", "32", "--tau", "4",
                    "--t-end", "240"]
 NONFINITE_MSG = ("expsav: solver failure: step 22 yields an invalid u: "
                  "field contains non-finite values\n")

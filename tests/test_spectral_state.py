@@ -1,0 +1,149 @@
+"""The spectra a state carries against its physical values, for all four steppers.
+
+A stepper passes on the spectra it forms, and a state forms the side it was
+not given on first read. These tests pin that both sides agree, that the
+energies read the spectra with no transform, and that a state built from
+physical fields steps as one that carries spectra.
+"""
+
+import numpy as np
+import pytest
+
+from expsav.avf import FixedPointConfig, eavf_step_kg, eavf_step_nls
+from expsav.fourier import apply_multipliers, forward_values, inverse_values, real_part
+from expsav.grids import (ComplexField, Field, GridSpec, State, fd_laplacian_eigenvalues,
+                          make_grid, spectral_laplacian_eigenvalues)
+from expsav.kg import KgProblem, KgState, kg_modified_energy, kg_original_energy, kg_step
+from expsav.nls import NlsProblem, nls_hamiltonian, nls_modified_energy, nls_step
+from expsav.tables import build_kg_tables, build_nls_tables
+
+from oracles import forward_diff_norm, norm_l2
+
+# the wave half spectrum keeps n//2 + 1 columns of the last axis: with 2 nodes
+# there it is the full spectrum, and a non-square grid tells the axes apart
+LAYOUTS = [
+    make_grid(-1.0, 1.0, 8, 1),
+    make_grid(-1.0, 1.0, 2, 1),
+    GridSpec(a=(-1.0, -2.0), b=(1.0, 1.0), n=(4, 6)),
+    GridSpec(a=(-1.0, -2.0), b=(1.0, 1.0), n=(6, 2)),
+]
+LAYOUT_IDS = ["x".join(map(str, g.n)) for g in LAYOUTS]
+
+
+def wave_case(grid, rng):
+    problem = KgProblem(grid=grid, omega=1.3, G=lambda u: 1.0 - np.cos(u), Gp=np.sin,
+                        phi1=None, phi2=None, C0=0.7)
+    tau = 0.05
+    u = rng.normal(size=grid.size)
+    v = rng.normal(size=grid.size)
+    q = float(np.sqrt(grid.cell * np.sum(problem.G(u)) + problem.C0))
+    state = KgState(u=Field(grid, u), v=Field(grid, v), q=q,
+                    u_prev=Field(grid, u - tau * v), n=1, t=tau)
+    tables = build_kg_tables(grid, fd_laplacian_eigenvalues(grid), problem.omega, tau)
+    return problem, tables, state
+
+
+def nls_case(grid, rng):
+    problem = NlsProblem(grid=grid, beta=2.0, u0=None, C0=0.4)
+    tau = 0.01
+    u = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
+    q = float(np.sqrt(grid.cell * np.sum(np.abs(u) ** 4) + problem.C0))
+    state = State(u=ComplexField(grid, u), q=q, u_prev=ComplexField(grid, u), n=1, t=tau)
+    tables = build_nls_tables(grid, spectral_laplacian_eigenvalues(grid), tau)
+    return problem, tables, state
+
+
+CFG = FixedPointConfig()
+SCHEMES = {
+    "esavs-wave": (wave_case, kg_step),
+    "eavfs-wave": (wave_case, lambda st, tabs, prob: eavf_step_kg(st, tabs, prob, CFG)[0]),
+    "esavs-nls": (nls_case, nls_step),
+    "eavfs-nls": (nls_case, lambda st, tabs, prob: eavf_step_nls(st, tabs, prob, CFG)[0]),
+}
+
+
+def stepped(scheme, grid, steps):
+    case, step = SCHEMES[scheme]
+    problem, tables, state = case(grid, np.random.default_rng(11))
+    for _ in range(steps):
+        state = step(state, tables, problem)
+    return problem, tables, state, step
+
+
+def physical_copy(state):
+    """The same level as a state built from physical fields only."""
+    common = dict(u=state.u, q=state.q, u_prev=state.u_prev, n=state.n, t=state.t)
+    if isinstance(state, KgState):
+        return KgState(v=state.v, **common)
+    return State(**common)
+
+
+def assert_spectra_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("grid", LAYOUTS, ids=LAYOUT_IDS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_spectra_and_energies_match_the_physical_values(scheme, grid):
+    problem, _, state, _ = stepped(scheme, grid, 20)
+    u = state.u
+    assert_spectra_close(state.u_spectrum, forward_values(u.values, grid))
+    if isinstance(state, KgState):
+        v = state.v
+        assert v.values.dtype == np.float64
+        np.testing.assert_array_equal(
+            v.values, real_part(inverse_values(state.v_spectrum, grid)))
+        quadratic = (0.5 * norm_l2(v) ** 2
+                     + 0.5 * problem.omega**2 * forward_diff_norm(u) ** 2)
+        potential = grid.cell * np.sum(problem.G(u.values))
+        assert kg_modified_energy(state, problem) == pytest.approx(
+            quadratic + state.q**2 - problem.C0, rel=1e-12)
+        assert kg_original_energy(state, problem) == pytest.approx(
+            quadratic + potential, rel=1e-12)
+    else:
+        lam = spectral_laplacian_eigenvalues(grid).astype(np.complex128)
+        kinetic = (grid.cell * np.vdot(u.values, apply_multipliers(u.values, lam, grid))).real
+        quartic = grid.cell * np.sum(np.abs(u.values) ** 4)
+        assert nls_modified_energy(state, problem) == pytest.approx(
+            kinetic + 0.5 * problem.beta * (state.q**2 - problem.C0), rel=1e-12)
+        assert nls_hamiltonian(state, problem) == pytest.approx(
+            kinetic + 0.5 * problem.beta * quartic, rel=1e-12)
+
+
+@pytest.mark.parametrize("grid", LAYOUTS, ids=LAYOUT_IDS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_physical_state_steps_as_one_with_spectra(scheme, grid):
+    problem, tables, state, step = stepped(scheme, grid, 3)
+    from_spectra = step(state, tables, problem)
+    from_physical = step(physical_copy(state), tables, problem)
+    scale = np.max(np.abs(from_spectra.u.values))
+    np.testing.assert_allclose(from_physical.u.values, from_spectra.u.values,
+                               rtol=1e-12, atol=1e-12 * scale)
+    if isinstance(state, KgState):
+        np.testing.assert_allclose(from_physical.v.values, from_spectra.v.values,
+                                   rtol=1e-12, atol=1e-12 * np.max(np.abs(from_spectra.v.values)))
+    assert from_physical.q == pytest.approx(from_spectra.q, rel=1e-12)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_energies_make_no_transform_on_a_stepped_state(scheme, transforms):
+    problem, _, state, _ = stepped(scheme, LAYOUTS[2], 1)
+    transforms.clear()
+    if isinstance(state, KgState):
+        kg_modified_energy(state, problem), kg_original_energy(state, problem)
+    else:
+        nls_modified_energy(state, problem), nls_hamiltonian(state, problem)
+    assert transforms == []
+
+
+def test_state_forms_each_spectrum_once(transforms):
+    _, _, state = wave_case(LAYOUTS[0], np.random.default_rng(3))
+    fu, fv = state.u_spectrum, state.v_spectrum
+    assert state.u_spectrum is fu and state.v_spectrum is fv
+    assert sorted(transforms) == [("forward", True)] * 2
+
+
+def test_wave_state_needs_its_velocity():
+    grid = LAYOUTS[0]
+    with pytest.raises(ValueError, match="velocity"):
+        KgState(u=Field(grid, np.zeros(8)), q=1.0, u_prev=None, n=0, t=0.0)
