@@ -6,24 +6,29 @@ through its average along the chord from u^n to u^{n+1}:
     wave:          fbar_j = (G(u'_j) - G(u_j)) / (u'_j - u_j)
     schroedinger:  fbar_j = integral_0^1 |u_xi|^2 u_xi dxi,  u_xi = (1-xi) u + xi u'
 
-The divided difference IS the exact average of G' over the chord, and the
-4-point Gauss rule integrates the cubic Schroedinger integrand exactly, so
-both discrete gradients satisfy the chain-rule surrogate
+Both discrete gradients satisfy the chain-rule surrogate
 
     <fbar, u' - u> (+ conj. in the complex case) = <G(u') - G(u), 1>
 
 to machine precision, which is what makes the baseline conserve its own
-discrete (unmodified) energy. On chords shorter than _CHORD_CUTOFF the
-wave gradient switches from the divided difference to a 4-point Gauss rule
-on G' -- same identity up to O(du^8), but free of the eps/|du| cancellation
-noise that would otherwise keep the iteration from reaching tol. Both
-implicit updates share one fixed-point loop: it iterates from u^n until the
-sup-norm increment drops below cfg.tol, and stops with SolverError at
-the first non-finite increment or at the iteration cap.
+discrete (unmodified) energy. The 4-point Gauss rule integrates the cubic
+Schroedinger integrand exactly. For the wave, a problem that gives
+KgProblem.chord_mean (in the catalog, kg2d_cubic) is averaged by that
+closed form: one elementwise pass, exact, and free of cancellation on
+short chords. Other problems (sine-Gordon) take the divided difference;
+on chords shorter than _CHORD_CUTOFF they switch to a 4-point Gauss rule
+on G' -- same identity up to O(du^8), but free of the eps/|du|
+cancellation noise that would otherwise keep the iteration from reaching
+tol. Both implicit updates share one fixed-point loop: it iterates from
+u^n until the sup-norm increment drops below cfg.tol, and stops with
+SolverError at the first non-finite increment or at the iteration cap.
 
-The linear flow acts on the state's spectra: one inverse starts the
-iteration, each iteration makes a forward/inverse pair, and the step ends
-with forward transforms of u' and, for the wave, of the chord average in v'.
+The linear flow acts on the state's spectra, so a step makes two
+transforms per iteration and two more. Wave: one inverse starts the
+iteration, each iteration makes a forward/inverse pair, u' keeps the
+spectrum of its last iteration and the chord average in v' is transformed
+forward once. Schroedinger: one inverse starts the iteration, each
+iteration makes a forward/inverse pair and u' is transformed forward once.
 """
 
 from __future__ import annotations
@@ -74,7 +79,10 @@ class FixedPointConfig:
 
 
 def avf_gradient_kg(problem: KgProblem, u_old: np.ndarray, u_new: np.ndarray) -> np.ndarray:
-    """Chord average of G': exact divided difference, Gauss rule on short chords."""
+    """Chord average of G': the problem's closed form when it has one, else the
+    exact divided difference, with a Gauss rule on short chords."""
+    if problem.chord_mean is not None:
+        return problem.chord_mean(u_old, u_new)
     du = u_new - u_old
     quad = np.zeros_like(u_old)
     for xi, wt in zip(_GL4_NODES, _GL4_WEIGHTS):
@@ -95,7 +103,11 @@ def avf_gradient_nls(u_old: np.ndarray, u_new: np.ndarray) -> np.ndarray:
 
 
 def _fixed_point(update, u0: np.ndarray, cfg: FixedPointConfig) -> tuple[np.ndarray, int]:
-    """Iterate u <- update(u) from u0; returns (converged iterate, iteration count)."""
+    """Iterate u <- update(u) from u0; returns (converged iterate, iteration count).
+
+    The iterate returned is the last update() output itself, unmixed:
+    eavf_step_kg takes u's spectrum from that call's transforms.
+    """
     u_iter = u0
     for it in range(1, cfg.max_iters + 1):
         u_next = update(u_iter)
@@ -120,12 +132,14 @@ def eavf_step_kg(state: KgState, tables: ExpPhiTables, problem: KgProblem,
     u = state.u.values
     fzu, fzv = linear_flow(state.u_spectrum, state.v_spectrum, tables)
     zu = real_part(inverse_values(fzu, grid))
+    fcorr = None  # spectrum of phi12 fbar, kept from the last iteration for u'
 
     # the iteration adds the small phi-gradient term to the physical zu: its
     # roundoff scales with that term, not with |zu|, near the 1e-14 stop
     def update(u_iter):
-        ffb = forward_values(avf_gradient_kg(problem, u, u_iter), grid)
-        return zu - tau * real_part(inverse_values(tables.p12 * ffb, grid))
+        nonlocal fcorr
+        fcorr = tables.p12 * forward_values(avf_gradient_kg(problem, u, u_iter), grid)
+        return zu - tau * real_part(inverse_values(fcorr, grid))
 
     u_new, it = _fixed_point(update, u, cfg)
     ffb = forward_values(avf_gradient_kg(problem, u, u_new), grid)
@@ -133,8 +147,8 @@ def eavf_step_kg(state: KgState, tables: ExpPhiTables, problem: KgProblem,
 
     # q is not evolved by this scheme; keep it consistent with its definition
     radicand = grid.cell * float(np.sum(problem.G(u_new))) + problem.C0
-    return state.advance(tau, u_new, np.sqrt(radicand),
-                         u_spectrum=forward_values(u_new, grid), v_spectrum=fv_new), it
+    return state.advance(tau, u_new, np.sqrt(radicand), u_spectrum=fzu - tau * fcorr,
+                         v_spectrum=fv_new), it
 
 
 @np.errstate(all="ignore")

@@ -91,6 +91,8 @@ def _kg2d_problem(grid: GridSpec, c0: float) -> KgProblem:
         phi1=lambda x, y: 2.0 * sech(np.cosh(x**2 + y**2)),
         phi2=lambda x, y: np.zeros_like(x),
         C0=c0,
+        # (b^4 - a^4)/(4 (b - a)); at a = b the same rounded products as Gp(a)
+        chord_mean=lambda a, b: 0.25 * (a + b) * (a * a + b * b),
     )
 
 

@@ -46,6 +46,9 @@ class KgProblem:
 
     G must be a nonnegative antiderivative of Gp (so the auxiliary variable
     stays real); both act pointwise on arrays. C0 >= 0 shifts the radicand.
+    chord_mean(a, b), when given, is the closed form of the mean of Gp along
+    the chord from a to b, (G(b) - G(a))/(b - a), and equals Gp(a) at a = b;
+    the implicit baseline uses it in place of its generic quadrature.
     """
 
     grid: GridSpec
@@ -55,6 +58,7 @@ class KgProblem:
     phi1: Callable
     phi2: Callable
     C0: float = 0.0
+    chord_mean: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 class KgState(State):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,41 @@ def test_discrete_gradient_identity_kg_short_chords():
     lhs = grid.cell * np.sum(fbar * (u_new - u_old))
     rhs = grid.cell * np.sum(problem.G(u_new) - problem.G(u_old))
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-14)
+
+
+def cubic_problem():
+    entry = get_entry("kg2d_cubic")
+    return entry.make_problem(entry.make_grid(8), 1.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-5], ids=["long", "short"])
+def test_chord_mean_matches_the_generic_rule(scale):
+    # O(1) chords take the divided difference, 1e-5 chords the Gauss rule
+    problem = cubic_problem()
+    rng = np.random.default_rng(15)
+    u_old = rng.normal(size=256)
+    u_new = u_old + scale * rng.normal(size=256)
+    generic = dataclasses.replace(problem, chord_mean=None)
+    np.testing.assert_allclose(problem.chord_mean(u_old, u_new),
+                               avf_gradient_kg(generic, u_old, u_new), rtol=1e-12, atol=0.0)
+
+
+def test_chord_mean_of_a_zero_chord_is_the_derivative():
+    problem = cubic_problem()
+    u = np.random.default_rng(16).normal(scale=3.0, size=256)
+    np.testing.assert_array_equal(problem.chord_mean(u, u), problem.Gp(u))
+
+
+def test_discrete_gradient_identity_closed_form():
+    problem = cubic_problem()
+    rng = np.random.default_rng(17)
+    u_old = rng.normal(size=256)
+    u_new = u_old + rng.normal(size=256)
+    fbar = avf_gradient_kg(problem, u_old, u_new)
+    np.testing.assert_array_equal(fbar, problem.chord_mean(u_old, u_new))
+    lhs = np.sum(fbar * (u_new - u_old))
+    rhs = np.sum(problem.G(u_new) - problem.G(u_old))
+    assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_discrete_gradient_identity_nls():

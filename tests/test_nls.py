@@ -115,6 +115,21 @@ def test_step_rejects_nonfinite_closure(bad):
         nls_step(state, corrupted, problem)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_step_rejects_a_nonfinite_u(bad):
+    # a non-finite linear flow passes the closure and reaches u'
+    grid = make_grid(0, 2 * np.pi, 8, 1)
+    problem = NlsProblem(grid=grid, beta=2.0, u0=lambda x: np.zeros_like(x, dtype=complex),
+                         C0=0.5)
+    tables = build_nls_tables(grid, spectral_laplacian_eigenvalues(grid), 0.01)
+    corrupted = dataclasses.replace(tables, expD=np.full(grid.size, bad, dtype=complex))
+    state = random_state(problem, np.random.default_rng(4), 0.01)
+    with pytest.raises(SolverError) as err:
+        nls_step(state, corrupted, problem)
+    assert str(err.value) == "step 3 yields an invalid u: field contains non-finite values"
+
+
 def test_step_does_two_complex_transforms(transforms):
     # 1 forward (gamma) complex in, 1 inverse (u') complex out
     grid = make_grid(0, 2 * np.pi, 16, 1)

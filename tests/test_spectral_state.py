@@ -136,6 +136,20 @@ def test_energies_make_no_transform_on_a_stepped_state(scheme, transforms):
     assert transforms == []
 
 
+@pytest.mark.parametrize("scheme", ["eavfs-wave", "eavfs-nls"])
+def test_eavfs_step_makes_two_transforms_per_iteration_and_two_more(scheme, transforms):
+    # one inverse starts the iteration, a forward/inverse pair per iteration, and
+    # one forward at the end: the chord average for v' (wave) or u' (nls)
+    problem, tables, state, _ = stepped(scheme, LAYOUTS[2], 1)
+    step = eavf_step_kg if scheme == "eavfs-wave" else eavf_step_nls
+    transforms.clear()
+    _, iters = step(state, tables, problem, CFG)
+    real = scheme == "eavfs-wave"
+    assert iters >= 2
+    assert sorted(transforms) == ([("forward", real)] * (iters + 1)
+                                  + [("inverse", real)] * (iters + 1))
+
+
 def test_state_forms_each_spectrum_once(transforms):
     _, _, state = wave_case(LAYOUTS[0], np.random.default_rng(3))
     fu, fv = state.u_spectrum, state.v_spectrum
