@@ -1,27 +1,23 @@
 """Fully implicit exponential averaged-gradient baseline, solved by fixed point.
 
 Same exact linear flow as the SAV steppers, but the nonlinearity enters
-through its average along the chord from u^n to u^{n+1}:
+through its exact mean along the chord from u^n to u^{n+1}, in closed form:
 
-    wave:          fbar_j = (G(u'_j) - G(u_j)) / (u'_j - u_j)
-    schroedinger:  fbar_j = integral_0^1 |u_xi|^2 u_xi dxi,  u_xi = (1-xi) u + xi u'
+    wave:          fbar = (G(u') - G(u)) / (u' - u), given by KgProblem.chord_mean
+    schroedinger:  fbar = integral_0^1 |u_xi|^2 u_xi dxi,  u_xi = (1-xi) u + xi u'
+                        = (|u|^2 + |u'|^2)(u + u')/4 + (u - u')(u conj(u') - conj(u) u')/12
 
 Both discrete gradients satisfy the chain-rule surrogate
 
     <fbar, u' - u> (+ conj. in the complex case) = <G(u') - G(u), 1>
 
 to machine precision, which is what makes the baseline conserve its own
-discrete (unmodified) energy. The 4-point Gauss rule integrates the cubic
-Schroedinger integrand exactly. For the wave, a problem that gives
-KgProblem.chord_mean (in the catalog, kg2d_cubic) is averaged by that
-closed form: one elementwise pass, exact, and free of cancellation on
-short chords. Other problems (sine-Gordon) take the divided difference;
-on chords shorter than _CHORD_CUTOFF they switch to a 4-point Gauss rule
-on G' -- same identity up to O(du^8), but free of the eps/|du|
-cancellation noise that would otherwise keep the iteration from reaching
-tol. Both implicit updates share one fixed-point loop: it iterates from
-u^n until the sup-norm increment drops below cfg.tol, and stops with
-SolverError at the first non-finite increment or at the iteration cap.
+discrete (unmodified) energy. Each closed form is one elementwise pass and
+keeps its digits on short chords, where a quotient of differences would
+lose them and keep the iteration from reaching tol. Both implicit updates
+share one fixed-point loop: it iterates from u^n until the sup-norm
+increment drops below cfg.tol, and stops with SolverError at the first
+non-finite increment or at the iteration cap.
 
 The linear flow acts on the state's spectra, so a step makes two
 transforms per iteration and two more. Wave: one inverse starts the
@@ -44,25 +40,6 @@ from .kg import KgProblem, KgState, linear_flow
 from .nls import NlsProblem, NlsState
 from .tables import ExpPhiTables, NlsTables
 
-# chord shorter than this switches the divided difference (whose rounding
-# noise grows like eps/|du| and can exceed the 1e-14 stopping tolerance) to
-# Gauss quadrature of G' along the chord (error O(du^8), noise O(eps))
-_CHORD_CUTOFF = 1e-3
-
-# 4-point Gauss-Legendre on [0, 1]: exact for polynomials through degree 7
-_GL4_NODES = np.array([
-    0.5 - np.sqrt(525.0 + 70.0 * np.sqrt(30.0)) / 70.0,
-    0.5 - np.sqrt(525.0 - 70.0 * np.sqrt(30.0)) / 70.0,
-    0.5 + np.sqrt(525.0 - 70.0 * np.sqrt(30.0)) / 70.0,
-    0.5 + np.sqrt(525.0 + 70.0 * np.sqrt(30.0)) / 70.0,
-])
-_GL4_WEIGHTS = np.array([
-    (18.0 - np.sqrt(30.0)) / 72.0,
-    (18.0 + np.sqrt(30.0)) / 72.0,
-    (18.0 + np.sqrt(30.0)) / 72.0,
-    (18.0 - np.sqrt(30.0)) / 72.0,
-])
-
 
 @dataclass(frozen=True)
 class FixedPointConfig:
@@ -79,27 +56,16 @@ class FixedPointConfig:
 
 
 def avf_gradient_kg(problem: KgProblem, u_old: np.ndarray, u_new: np.ndarray) -> np.ndarray:
-    """Chord average of G': the problem's closed form when it has one, else the
-    exact divided difference, with a Gauss rule on short chords."""
-    if problem.chord_mean is not None:
-        return problem.chord_mean(u_old, u_new)
-    du = u_new - u_old
-    quad = np.zeros_like(u_old)
-    for xi, wt in zip(_GL4_NODES, _GL4_WEIGHTS):
-        quad += wt * problem.Gp(u_old + xi * du)
-    tiny = np.abs(du) < _CHORD_CUTOFF
-    safe = np.where(tiny, 1.0, du)
-    divided = (problem.G(u_new) - problem.G(u_old)) / safe
-    return np.where(tiny, quad, divided)
+    """Mean of G' along the chord from u_old to u_new: the problem's closed form."""
+    return problem.chord_mean(u_old, u_new)
 
 
 def avf_gradient_nls(u_old: np.ndarray, u_new: np.ndarray) -> np.ndarray:
-    """Chord average of |u|^2 u via 4-point Gauss quadrature (exact: cubic integrand)."""
-    out = np.zeros_like(u_old)
-    for xi, wt in zip(_GL4_NODES, _GL4_WEIGHTS):
-        u_xi = (1.0 - xi) * u_old + xi * u_new
-        out += wt * (np.abs(u_xi) ** 2 * u_xi)
-    return out
+    """Mean of |u|^2 u along the chord from u_old to u_new, in the closed form above."""
+    a, b = u_old, u_new
+    cross = a * np.conj(b)
+    return (0.25 * ((a * np.conj(a)).real + (b * np.conj(b)).real) * (a + b)
+            + (a - b) * (cross - np.conj(cross)) / 12.0)
 
 
 def _fixed_point(update, u0: np.ndarray, cfg: FixedPointConfig) -> tuple[np.ndarray, int]:
@@ -128,6 +94,8 @@ def eavf_step_kg(state: KgState, tables: ExpPhiTables, problem: KgProblem,
     grid = problem.grid
     if tables.grid != grid:
         raise ValueError("tables built on a different grid")
+    if problem.chord_mean is None:
+        raise ValueError("the implicit wave step needs KgProblem.chord_mean")
     tau = tables.tau
     u = state.u.values
     fzu, fzv = linear_flow(state.u_spectrum, state.v_spectrum, tables)

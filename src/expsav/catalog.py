@@ -16,6 +16,7 @@ import numpy as np
 from .grids import GridSpec, fd_laplacian_eigenvalues, make_grid, spectral_laplacian_eigenvalues
 from .kg import KgProblem
 from .nls import NlsProblem
+from .tables import sin_over_x
 
 
 def sech(z):
@@ -49,6 +50,11 @@ class CatalogEntry:
         return spectral_laplacian_eigenvalues(grid)
 
 
+def _sine_chord_mean(a, b):
+    """Exact mean of sin on the chord from a to b; sin(a) bitwise at a = b."""
+    return np.sin(0.5 * (a + b)) * sin_over_x(0.5 * (b - a))
+
+
 def _sg1d_problem(grid: GridSpec, c0: float) -> KgProblem:
     return KgProblem(
         grid=grid,
@@ -58,6 +64,7 @@ def _sg1d_problem(grid: GridSpec, c0: float) -> KgProblem:
         phi1=lambda x: np.zeros_like(x),
         phi2=lambda x: 4.0 * sech(x),
         C0=c0,
+        chord_mean=_sine_chord_mean,
     )
 
 
@@ -78,6 +85,7 @@ def _sg2d_problem(grid: GridSpec, c0: float) -> KgProblem:
         phi1=lambda x, y: 4.0 * np.arctan(np.exp((4.0 - _ring_radius(x, y)) / 0.436)),
         phi2=lambda x, y: 4.13 * sech((4.0 - _ring_radius(x, y)) / 0.436),
         C0=c0,
+        chord_mean=_sine_chord_mean,
     )
 
 

@@ -46,9 +46,9 @@ class KgProblem:
 
     G must be a nonnegative antiderivative of Gp (so the auxiliary variable
     stays real); both act pointwise on arrays. C0 >= 0 shifts the radicand.
-    chord_mean(a, b), when given, is the closed form of the mean of Gp along
-    the chord from a to b, (G(b) - G(a))/(b - a), and equals Gp(a) at a = b;
-    the implicit baseline uses it in place of its generic quadrature.
+    chord_mean(a, b) is the closed form of the mean of Gp along the chord
+    from a to b, (G(b) - G(a))/(b - a), and equals Gp(a) at a = b. The
+    implicit baseline (eavfs) requires it; the SAV step ignores it.
     """
 
     grid: GridSpec

@@ -33,7 +33,7 @@ import numpy as np
 from .fourier import half_spectrum
 from .grids import GridSpec
 
-# below this argument the direct sin/cos quotients lose digits; switch to series
+# below this argument sin(x)/x takes its series, which also covers x = 0
 _SERIES_CUTOFF = 1e-4
 
 
@@ -77,14 +77,8 @@ def sin_over_x(x: np.ndarray) -> np.ndarray:
 
 
 def versine_over_x2(x: np.ndarray) -> np.ndarray:
-    """(1 - cos(x))/x^2 with a degree-6 series branch near zero."""
-    x = np.asarray(x, dtype=np.float64)
-    small = np.abs(x) < _SERIES_CUTOFF
-    x2 = x * x
-    series = 0.5 * (1.0 - x2 / 12.0 * (1.0 - x2 / 30.0 * (1.0 - x2 / 56.0)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = (1.0 - np.cos(x)) / x2
-    return np.where(small, series, direct)
+    """(1 - cos(x))/x^2, as 2 sin^2(x/2)/x^2: no cancellation at any x."""
+    return 0.5 * sin_over_x(0.5 * np.asarray(x, dtype=np.float64)) ** 2
 
 
 def build_kg_tables(grid: GridSpec, lam: np.ndarray, omega: float, tau: float) -> ExpPhiTables:

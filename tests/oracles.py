@@ -3,7 +3,8 @@
 Everything here is deliberately O(N^2)/O(N^3): explicit DFT matrices,
 circulant stencil matrices, scipy's scaling-and-squaring matrix exponential
 and Gauss-Legendre quadrature for the phi operator, and direct dense solves.
-The exceptions are the physical norms, which sum over the nodes directly.
+The exceptions are the physical norms, which sum over the nodes directly, and
+the chord means, taken from G and Gp by divided differences and quadrature.
 None of it shares code paths with the package under test.
 """
 
@@ -95,6 +96,31 @@ def gl_quadrature(n_points: int = 32) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(n_points)
     return 0.5 * (x + 1.0), 0.5 * w
+
+
+def chord_mean_kg(problem, u_old: np.ndarray, u_new: np.ndarray) -> np.ndarray:
+    """Mean of G' along the chord from u_old to u_new, from G and Gp alone.
+
+    The divided difference (G(u_new) - G(u_old))/(u_new - u_old), whose
+    rounding noise grows like eps/|du|; on chords shorter than 1e-3 a
+    4-point Gauss rule on Gp along the chord (error O(du^8), noise O(eps)).
+    """
+    du = u_new - u_old
+    nodes, weights = gl_quadrature(4)
+    quad = sum(wt * problem.Gp(u_old + xi * du) for xi, wt in zip(nodes, weights))
+    tiny = np.abs(du) < 1e-3
+    divided = (problem.G(u_new) - problem.G(u_old)) / np.where(tiny, 1.0, du)
+    return np.where(tiny, quad, divided)
+
+
+def chord_mean_nls(u_old: np.ndarray, u_new: np.ndarray) -> np.ndarray:
+    """Mean of |u|^2 u along the chord by the 4-point Gauss rule (exact: cubic integrand)."""
+    nodes, weights = gl_quadrature(4)
+    out = np.zeros_like(u_old)
+    for xi, wt in zip(nodes, weights):
+        u_xi = (1.0 - xi) * u_old + xi * u_new
+        out += wt * (np.abs(u_xi) ** 2 * u_xi)
+    return out
 
 
 def phi_of(V: np.ndarray, n_points: int = 32) -> np.ndarray:

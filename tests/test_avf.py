@@ -5,11 +5,11 @@ import pytest
 
 from expsav.avf import (FixedPointConfig, avf_gradient_kg, avf_gradient_nls, eavf_step_kg,
                         eavf_step_nls)
-from expsav.catalog import get_entry
+from expsav.catalog import CATALOG, get_entry
 from expsav.errors import SolverError
 from expsav.grids import (Field, GridSpec, fd_laplacian_eigenvalues, make_grid,
                           spectral_laplacian_eigenvalues)
-from expsav.kg import KgProblem, KgState, kg_init, kg_original_energy
+from expsav.kg import KgState, kg_init, kg_original_energy
 from expsav.nls import NlsProblem, nls_hamiltonian, nls_init
 from expsav.tables import build_kg_tables, build_nls_tables
 
@@ -20,10 +20,17 @@ def sine_gordon_problem(grid, c0=1.0, zero_data=False):
     entry = get_entry("sg1d")
     problem = entry.make_problem(grid, c0)
     if zero_data:
-        problem = KgProblem(grid=grid, omega=1.0, G=problem.G, Gp=problem.Gp,
-                            phi1=lambda x: np.zeros_like(x),
-                            phi2=lambda x: np.zeros_like(x), C0=c0)
+        problem = dataclasses.replace(problem, phi1=lambda x: np.zeros_like(x),
+                                      phi2=lambda x: np.zeros_like(x))
     return problem
+
+
+WAVE_IDS = sorted(e.id for e in CATALOG.values() if e.kind == "wave")
+
+
+def wave_problem(problem_id):
+    entry = get_entry(problem_id)
+    return entry.make_problem(entry.make_grid(8), 1.0)
 
 
 def test_config_validation():
@@ -68,7 +75,7 @@ def test_discrete_gradient_identity_kg():
     grid = make_grid(-2, 2, 128, 1)
     problem = sine_gordon_problem(grid)
     u_old = rng.normal(size=128)
-    u_new = u_old + rng.normal(size=128)  # O(1) chords: divided-difference branch
+    u_new = u_old + rng.normal(size=128)  # O(1) chords
     fbar = avf_gradient_kg(problem, u_old, u_new)
     lhs = grid.cell * np.sum(fbar * (u_new - u_old))
     rhs = grid.cell * np.sum(problem.G(u_new) - problem.G(u_old))
@@ -80,38 +87,49 @@ def test_discrete_gradient_identity_kg_short_chords():
     grid = make_grid(-2, 2, 128, 1)
     problem = sine_gordon_problem(grid)
     u_old = rng.normal(size=128)
-    u_new = u_old + 1e-5 * rng.normal(size=128)  # quadrature branch
+    u_new = u_old + 1e-5 * rng.normal(size=128)
     fbar = avf_gradient_kg(problem, u_old, u_new)
     lhs = grid.cell * np.sum(fbar * (u_new - u_old))
     rhs = grid.cell * np.sum(problem.G(u_new) - problem.G(u_old))
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-14)
 
 
-def cubic_problem():
-    entry = get_entry("kg2d_cubic")
-    return entry.make_problem(entry.make_grid(8), 1.0)
+def test_every_catalog_wave_problem_sets_its_chord_mean():
+    for problem_id in WAVE_IDS:
+        assert wave_problem(problem_id).chord_mean is not None, problem_id
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-5], ids=["long", "short"])
-def test_chord_mean_matches_the_generic_rule(scale):
-    # O(1) chords take the divided difference, 1e-5 chords the Gauss rule
-    problem = cubic_problem()
+@pytest.mark.parametrize("problem_id", WAVE_IDS)
+def test_chord_mean_matches_the_generic_rule(problem_id, scale):
+    # O(1) chords take the reference's divided difference, 1e-5 chords its Gauss rule
+    problem = wave_problem(problem_id)
     rng = np.random.default_rng(15)
     u_old = rng.normal(size=256)
     u_new = u_old + scale * rng.normal(size=256)
-    generic = dataclasses.replace(problem, chord_mean=None)
     np.testing.assert_allclose(problem.chord_mean(u_old, u_new),
-                               avf_gradient_kg(generic, u_old, u_new), rtol=1e-12, atol=0.0)
+                               oracles.chord_mean_kg(problem, u_old, u_new),
+                               rtol=1e-12, atol=0.0)
 
 
-def test_chord_mean_of_a_zero_chord_is_the_derivative():
-    problem = cubic_problem()
+@pytest.mark.parametrize("problem_id", WAVE_IDS)
+def test_chord_mean_of_a_zero_chord_is_the_derivative(problem_id):
+    problem = wave_problem(problem_id)
     u = np.random.default_rng(16).normal(scale=3.0, size=256)
     np.testing.assert_array_equal(problem.chord_mean(u, u), problem.Gp(u))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-5], ids=["long", "short"])
+def test_nls_chord_mean_matches_the_gauss_rule(scale):
+    rng = np.random.default_rng(18)
+    u_old = rng.normal(size=256) + 1j * rng.normal(size=256)
+    u_new = u_old + scale * (rng.normal(size=256) + 1j * rng.normal(size=256))
+    np.testing.assert_allclose(avf_gradient_nls(u_old, u_new),
+                               oracles.chord_mean_nls(u_old, u_new), rtol=1e-12, atol=0.0)
+
+
 def test_discrete_gradient_identity_closed_form():
-    problem = cubic_problem()
+    problem = wave_problem("kg2d_cubic")
     rng = np.random.default_rng(17)
     u_old = rng.normal(size=256)
     u_new = u_old + rng.normal(size=256)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import shlex
@@ -11,9 +12,8 @@ import pytest
 
 import expsav
 from expsav import kg
-from expsav.catalog import CATALOG, CatalogEntry, register
+from expsav.catalog import CATALOG, CatalogEntry, get_entry, register
 from expsav.cli import build_parser, main
-from expsav.kg import KgProblem
 from expsav.runner import (ProblemSpec, compare_driver, convergence_driver, parse_manifest,
                            read_snapshot, run, spec_from_mapping, spec_to_manifest)
 
@@ -138,10 +138,9 @@ def test_compare_driver_trivial_problem_and_iteration_counts():
         register(CatalogEntry(
             id="zero1d", kind="wave", dim=1, a=-1.0, b=1.0,
             default_n=32, default_tau=0.1, default_t_end=1.0, default_c0=1.0,
-            make_problem=lambda grid, c0: KgProblem(
-                grid=grid, omega=1.0,
-                G=lambda u: 1.0 - np.cos(u), Gp=np.sin,
-                phi1=lambda x: np.zeros_like(x), phi2=lambda x: np.zeros_like(x), C0=c0),
+            make_problem=lambda grid, c0: dataclasses.replace(
+                get_entry("sg1d").make_problem(grid, c0),
+                phi1=lambda x: np.zeros_like(x), phi2=lambda x: np.zeros_like(x)),
             exact=lambda x, t: np.zeros_like(x),
         ))
     rows = compare_driver(ProblemSpec(problem="zero1d"))
@@ -360,13 +359,40 @@ def test_cli_unwritable_out_is_an_io_failure(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("expsav: i/o failure:")
 
 
-def test_cli_divergence_same_under_optimize():
-    # runtime checks must not be asserts, which python -O strips
+def _python(*args):
+    """Run the interpreter on this checkout's package; returns the finished process."""
     src = str(Path(expsav.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+def test_cli_divergence_same_under_optimize():
+    # runtime checks must not be asserts, which python -O strips
     for argv, message in ((DIVERGING_EAVFS, DIVERGED_MSG), (NONFINITE_ESAVS, NONFINITE_MSG)):
-        proc = subprocess.run([sys.executable, "-O", "-m", "expsav.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
+        proc = _python("-O", "-m", "expsav.cli", *argv)
         assert proc.returncode == 2
         assert proc.stderr == message
+
+
+# the CLI, with sg1d registered once more as "nochord1d", its chord mean taken away
+NO_CHORD_MEAN_CLI = """
+import dataclasses, sys
+from expsav.catalog import get_entry, register
+from expsav.cli import main
+sg1d = get_entry("sg1d")
+register(dataclasses.replace(sg1d, id="nochord1d", make_problem=lambda grid, c0:
+                             dataclasses.replace(sg1d.make_problem(grid, c0), chord_mean=None)))
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+def test_cli_wave_entry_without_chord_mean_is_a_config_error_under_eavfs():
+    argv = ["run", "--problem", "nochord1d", "--n", "16", "--tau", "0.1", "--t-end", "0.2"]
+    for flags in ([], ["-O"]):
+        proc = _python(*flags, "-c", NO_CHORD_MEAN_CLI, *argv, "--scheme", "eavfs")
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "expsav: config error: the implicit wave step needs KgProblem.chord_mean\n")
+    assert _python("-c", NO_CHORD_MEAN_CLI, *argv, "--scheme", "esavs").returncode == 0

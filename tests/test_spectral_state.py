@@ -6,14 +6,17 @@ energies read the spectra with no transform, and that a state built from
 physical fields steps as one that carries spectra.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from expsav.avf import FixedPointConfig, eavf_step_kg, eavf_step_nls
+from expsav.catalog import get_entry
 from expsav.fourier import apply_multipliers, forward_values, inverse_values, real_part
 from expsav.grids import (ComplexField, Field, GridSpec, State, fd_laplacian_eigenvalues,
                           make_grid, spectral_laplacian_eigenvalues)
-from expsav.kg import KgProblem, KgState, kg_modified_energy, kg_original_energy, kg_step
+from expsav.kg import KgState, kg_modified_energy, kg_original_energy, kg_step
 from expsav.nls import NlsProblem, nls_hamiltonian, nls_modified_energy, nls_step
 from expsav.tables import build_kg_tables, build_nls_tables
 
@@ -31,8 +34,8 @@ LAYOUT_IDS = ["x".join(map(str, g.n)) for g in LAYOUTS]
 
 
 def wave_case(grid, rng):
-    problem = KgProblem(grid=grid, omega=1.3, G=lambda u: 1.0 - np.cos(u), Gp=np.sin,
-                        phi1=None, phi2=None, C0=0.7)
+    problem = dataclasses.replace(get_entry("sg1d").make_problem(grid, 0.7), omega=1.3,
+                                  phi1=None, phi2=None)
     tau = 0.05
     u = rng.normal(size=grid.size)
     v = rng.normal(size=grid.size)

@@ -87,6 +87,14 @@ def test_series_branch_consistency():
     assert versine_over_x2(x)[0] == pytest.approx(series_c2[0], rel=1e-10)
 
 
+def test_versine_keeps_its_digits_above_the_series_cutoff():
+    # the quotient (1 - cos x)/x^2 lost up to 5e-9 relative here
+    x = np.array([1.01e-4, 2e-4, 5e-4])
+    x2 = x * x
+    series_c2 = 0.5 * (1.0 - x2 / 12.0 * (1.0 - x2 / 30.0 * (1.0 - x2 / 56.0)))
+    np.testing.assert_allclose(versine_over_x2(x), series_c2, rtol=1e-14, atol=0.0)
+
+
 def test_flow_property_squares():
     g = make_grid(0, 1, 16, 1)
     lam = fd_laplacian_eigenvalues(g)
