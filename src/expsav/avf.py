@@ -49,8 +49,8 @@ class FixedPointConfig:
     max_iters: int = 200
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 

@@ -14,8 +14,7 @@ from pathlib import Path
 from .catalog import CATALOG, get_entry
 from .errors import SolverError
 from .runner import (MANIFEST_KEYS, SCHEMES, TRANSFORMS, ProblemSpec, compare_driver,
-                     convergence_driver, parse_manifest, run, spec_from_mapping,
-                     write_compare_csv, write_ladder_csv)
+                     convergence_driver, parse_manifest, run, spec_from_mapping, write_rows)
 
 EXIT_OK = 0
 EXIT_SOLVER = 2
@@ -88,6 +87,14 @@ def _spec_from_args(args) -> ProblemSpec:
     return spec_from_mapping(mapping)
 
 
+def _write_csv(out: str | None, name: str, rows: list):
+    if out is not None:
+        path = Path(out) / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_rows(path, rows)
+        print(f"wrote {path}")
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -117,11 +124,7 @@ def main(argv=None) -> int:
                 o2 = f"{r.order_l2:6.2f}" if r.order_l2 is not None else "     -"
                 oi = f"{r.order_inf:6.2f}" if r.order_inf is not None else "     -"
                 print(f"{r.level:5d} {r.n:7d} {r.tau:10.3e} {r.err_l2:12.4e} {o2} {r.err_inf:12.4e} {oi}")
-            if spec.out is not None:
-                path = Path(spec.out)
-                path.mkdir(parents=True, exist_ok=True)
-                write_ladder_csv(path / "converge.csv", rows)
-                print(f"wrote {path / 'converge.csv'}")
+            _write_csv(spec.out, "converge.csv", rows)
         elif args.command == "compare":
             rows = compare_driver(spec)
             print("scheme      err_l2      err_inf   energy_drift      wall_s   iters")
@@ -132,11 +135,7 @@ def main(argv=None) -> int:
                       f"{r.wall_seconds:11.3f} {r.total_iters:7d}")
             ratio = rows[1].wall_seconds / max(rows[0].wall_seconds, 1e-12)
             print(f"wall-time ratio eavfs/esavs = {ratio:.2f}")
-            if spec.out is not None:
-                path = Path(spec.out)
-                path.mkdir(parents=True, exist_ok=True)
-                write_compare_csv(path / "compare.csv", rows)
-                print(f"wrote {path / 'compare.csv'}")
+            _write_csv(spec.out, "compare.csv", rows)
     except ValueError as exc:
         print(f"expsav: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -78,8 +78,6 @@ class GridSpec:
 
 def make_grid(a: float, b: float, n: int, dim: int = 1) -> GridSpec:
     """Build a periodic grid on [a, b) with n nodes per axis (square in 2D)."""
-    if dim not in (1, 2):
-        raise ValueError(f"dim must be 1 or 2, got {dim}")
     return GridSpec(a=(float(a),) * dim, b=(float(b),) * dim, n=(int(n),) * dim)
 
 
@@ -198,24 +196,16 @@ def fd_laplacian_eigenvalues(grid: GridSpec) -> np.ndarray:
     and every table built from lam is exactly even in k.
     """
     per_axis = []
-    for axis in range(grid.dim):
-        N = grid.n[axis]
-        h = grid.h[axis]
+    for N, h in zip(grid.n, grid.h):
         j = np.arange(N)
         per_axis.append(-(4.0 / h**2) * np.sin(np.minimum(j, N - j) * np.pi / N) ** 2)
-    if grid.dim == 1:
-        return per_axis[0]
-    return np.add.outer(per_axis[0], per_axis[1]).ravel()
+    return reduce(np.add.outer, per_axis).ravel()
 
 
 def spectral_laplacian_eigenvalues(grid: GridSpec) -> np.ndarray:
     """Fourier symbol of the Laplacian: -( (2*pi/(b-a)) * k )^2 in DFT mode order."""
     per_axis = []
-    for axis in range(grid.dim):
-        N = grid.n[axis]
-        length = grid.b[axis] - grid.a[axis]
+    for N, lo, hi in zip(grid.n, grid.a, grid.b):
         k = np.fft.fftfreq(N, d=1.0 / N)  # signed wavenumbers 0, 1, ..., -1
-        per_axis.append(-((2.0 * np.pi / length) * k) ** 2)
-    if grid.dim == 1:
-        return per_axis[0]
-    return np.add.outer(per_axis[0], per_axis[1]).ravel()
+        per_axis.append(-((2.0 * np.pi / (hi - lo)) * k) ** 2)
+    return reduce(np.add.outer, per_axis).ravel()

@@ -16,7 +16,8 @@ real plane then the imaginary plane (``components 2``).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -100,11 +101,13 @@ def resolve(spec: ProblemSpec) -> tuple[CatalogEntry, GridSpec, object, float, f
     tau = spec.tau if spec.tau is not None else entry.default_tau
     t_end = spec.t_end if spec.t_end is not None else entry.default_t_end
     c0 = spec.c0 if spec.c0 is not None else entry.default_c0
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    if t_end < 0.0:
-        raise ValueError("t_end must be nonnegative")
-    n_steps = int(round(t_end / tau)) if t_end > 0 else 0
+    if not (np.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"tau must be positive and finite, got {tau!r}")
+    if not (np.isfinite(t_end) and t_end >= 0.0):
+        raise ValueError(f"t_end must be nonnegative and finite, got {t_end!r}")
+    if not np.isfinite(t_end / tau):
+        raise ValueError(f"t_end / tau must be a finite step count, got {t_end / tau!r}")
+    n_steps = int(round(t_end / tau))
     if abs(n_steps * tau - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError(f"t_end = {t_end:g} is not an integer number of steps of tau = {tau:g}")
     for t_snap in spec.snapshot_times:
@@ -125,6 +128,8 @@ def spec_to_manifest(spec: ProblemSpec) -> str:
             text = ", ".join(repr(t) for t in value)
         else:
             text = repr(value) if isinstance(value, float) else str(value)
+        if "#" in text or text.strip() != text or len(text.splitlines()) > 1:
+            raise ValueError(f"{key} = {text!r} would not read back from a manifest")
         lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
@@ -237,20 +242,24 @@ def run(spec: ProblemSpec) -> RunResult:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return str(value)
     if not np.isfinite(value):
         raise SolverError(f"non-finite diagnostic {value!r}; refusing to write it")
     return f"{value:.16e}"
 
 
-def write_run_csv(path: Path, records: list[RunRecord]):
-    lines = ["t,E_mod,E_orig,err_l2,err_inf,iters"]
-    for r in records:
-        lines.append(",".join(
-            _fmt(v) for v in (r.t, r.E_mod, r.E_orig, r.err_l2, r.err_inf, r.iters)
-        ))
+def write_rows(path: Path, rows: list):
+    """CSV of dataclass rows: the field names as the header, then one line per row."""
+    names = [f.name for f in fields(rows[0])]
+    values = attrgetter(*names)  # a tuple per row: every row type has several fields
+    lines = [",".join(names)] + [",".join(map(_fmt, values(r))) for r in rows]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_run_csv(path: Path, records: list[RunRecord]):
+    # a name of its own because bench/tracer.py times it as runner.csv_ms
+    write_rows(path, records)
 
 
 def write_snapshot(path: Path, u: Field | ComplexField, t: float, transform: str):
@@ -314,8 +323,8 @@ class LadderRow:
     n: int
     tau: float
     err_l2: float
-    err_inf: float
     order_l2: float | None
+    err_inf: float
     order_inf: float | None
 
 
@@ -334,24 +343,13 @@ def convergence_driver(base: ProblemSpec, levels: int) -> list[LadderRow]:
         last = result.records[-1]
         if last.err_l2 is None:
             raise ValueError(f"{base.problem} has no analytic solution to converge against")
-        rows.append(LadderRow(level=level, n=n, tau=tau / factor,
-                              err_l2=last.err_l2, err_inf=last.err_inf,
-                              order_l2=None, order_inf=None))
+        rows.append(LadderRow(level=level, n=n, tau=tau / factor, err_l2=last.err_l2,
+                              order_l2=None, err_inf=last.err_inf, order_inf=None))
     orders_l2 = convergence_orders([r.err_l2 for r in rows])
     orders_inf = convergence_orders([r.err_inf for r in rows])
     for idx in range(1, levels):
         rows[idx] = replace(rows[idx], order_l2=orders_l2[idx - 1], order_inf=orders_inf[idx - 1])
     return rows
-
-
-def write_ladder_csv(path: Path, rows: list[LadderRow]):
-    lines = ["level,n,tau,err_l2,order_l2,err_inf,order_inf"]
-    for r in rows:
-        lines.append(",".join([
-            str(r.level), str(r.n), _fmt(r.tau),
-            _fmt(r.err_l2), _fmt(r.order_l2), _fmt(r.err_inf), _fmt(r.order_inf),
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -377,13 +375,3 @@ def compare_driver(spec: ProblemSpec) -> list[CompareRow]:
                                energy_drift=drift, wall_seconds=result.wall_seconds,
                                total_iters=result.total_iters))
     return rows
-
-
-def write_compare_csv(path: Path, rows: list[CompareRow]):
-    lines = ["scheme,err_l2,err_inf,energy_drift,wall_seconds,total_iters"]
-    for r in rows:
-        lines.append(",".join([
-            r.scheme, _fmt(r.err_l2), _fmt(r.err_inf), _fmt(r.energy_drift),
-            _fmt(r.wall_seconds), str(r.total_iters),
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n")

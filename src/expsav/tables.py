@@ -33,9 +33,6 @@ import numpy as np
 from .fourier import half_spectrum
 from .grids import GridSpec
 
-# below this argument sin(x)/x takes its series, which also covers x = 0
-_SERIES_CUTOFF = 1e-4
-
 
 @dataclass(frozen=True, eq=False)
 class ExpPhiTables:
@@ -66,14 +63,13 @@ class NlsTables:
 
 
 def sin_over_x(x: np.ndarray) -> np.ndarray:
-    """sin(x)/x with a degree-6 series branch near zero."""
+    """sin(x)/x, 1 at x = 0. Near zero the quotient is within an ulp of the
+    degree-6 series (checked on |x| <= 1e-3), so it needs no series branch."""
     x = np.asarray(x, dtype=np.float64)
-    small = np.abs(x) < _SERIES_CUTOFF
-    x2 = x * x
-    series = 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.sin(x) / x
-    return np.where(small, series, direct)
+        s1 = np.asarray(np.sin(x) / x)
+        s1[x == 0.0] = 1.0
+    return s1
 
 
 def versine_over_x2(x: np.ndarray) -> np.ndarray:

@@ -17,6 +17,8 @@ from expsav.cli import build_parser, main
 from expsav.runner import (ProblemSpec, compare_driver, convergence_driver, parse_manifest,
                            read_snapshot, run, spec_from_mapping, spec_to_manifest)
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 
 def test_run_zero_horizon(tmp_path):
     spec = ProblemSpec(problem="sg1d", t_end=0.0, out=str(tmp_path))
@@ -73,6 +75,16 @@ def test_manifest_with_every_key_set():
         "fp_max_iters = 50\n"
     )
     assert spec_from_mapping(parse_manifest(manifest)) == spec
+
+
+@pytest.mark.parametrize("out", ["runs/#3", "runs/\n3", "runs/\r3", "runs/\u20283", " runs",
+                                 "runs\n"])
+def test_manifest_refuses_a_value_it_would_not_read_back(out):
+    # '#' starts a comment, and parse_manifest splits lines and strips values
+    with pytest.raises(ValueError, match="out = .* would not read back"):
+        spec_to_manifest(ProblemSpec(problem="sg1d", out=out))
+    spec = ProblemSpec(problem="sg1d", out="runs/a b")
+    assert spec_from_mapping(parse_manifest(spec_to_manifest(spec))) == spec
 
 
 def test_manifest_rejects_unknown_key():
@@ -296,8 +308,7 @@ def test_cli_compare_cadence_matches_every_step_run(tmp_path, capsys):
 
 def test_readme_commands_parse():
     # the README's sh blocks carry the experiment commands; keep them runnable
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text(), re.S | re.M)
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.S | re.M)
     commands = [shlex.split(line, comments=True) for block in blocks
                 for line in block.splitlines() if line.startswith("expsav ")]
     assert {argv[1] for argv in commands} == {"run", "converge", "compare"}
@@ -305,6 +316,20 @@ def test_readme_commands_parse():
     for argv in commands:
         args = parser.parse_args(argv[1:])
         assert args.problem in CATALOG, argv
+
+
+def test_csv_headers_match_the_readme(tmp_path, capsys):
+    # the headers are the row dataclasses' field names, so field order is the column order
+    section = README.read_text().split("### Output formats", 1)[1]
+    base = ["--problem", "sg1d", "--n", "40", "--tau", "0.1", "--t-end", "0.2",
+            "--out", str(tmp_path)]
+    assert main(["run", *base]) == 0
+    assert main(["converge", *base, "--levels", "2"]) == 0
+    assert main(["compare", *base]) == 0
+    for name in ("run.csv", "converge.csv", "compare.csv"):
+        columns = re.search(rf"`{re.escape(name)}`.*?`(\w+(?:,\w+)+)`", section, re.S).group(1)
+        assert (tmp_path / name).read_text().splitlines()[0] == columns, name
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------- failure paths
@@ -349,6 +374,23 @@ def test_cli_nonfinite_initial_radicand_is_a_config_error(problem, c0, capsys):
     err = capsys.readouterr().err
     assert err.startswith("expsav: config error:")
     assert f"= {c0} is not finite and positive" in err
+
+
+@pytest.mark.parametrize("flags,manifest,field", [
+    (["--tau", "nan"], "", "tau"),
+    (["--tau", "inf"], "", "tau"),
+    (["--t-end", "nan"], "", "t_end"),
+    (["--t-end", "inf"], "", "t_end"),
+    (["--tau", "1e-320"], "", "t_end / tau"),
+    ([], "fp_tol = nan\n", "tol"),
+    ([], "fp_tol = inf\n", "tol"),
+])
+def test_cli_nonfinite_step_horizon_or_tolerance_is_a_config_error(flags, manifest, field,
+                                                                   tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = sg1d\nscheme = eavfs\n" + manifest)
+    assert main(["run", "--problem", "sg1d", "--n", "40", "--config", str(cfg), *flags]) == 3
+    assert capsys.readouterr().err.startswith(f"expsav: config error: {field} must be ")
 
 
 def test_cli_unwritable_out_is_an_io_failure(tmp_path, capsys):

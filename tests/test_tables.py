@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,13 +80,29 @@ def test_blocks_even_in_k(dim, n):
 
 
 def test_series_branch_consistency():
-    # direct formulas at x = 1e-3 vs the series expressions used below 1e-4
+    # the closed forms at x = 1e-3 vs their degree-6 series
     x = np.array([1e-3])
     x2 = x * x
     series_s1 = 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0))
     series_c2 = 0.5 * (1.0 - x2 / 12.0 * (1.0 - x2 / 30.0 * (1.0 - x2 / 56.0)))
     assert sin_over_x(x)[0] == pytest.approx(series_s1[0], rel=1e-10)
     assert versine_over_x2(x)[0] == pytest.approx(series_c2[0], rel=1e-10)
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 1e-8, -1e-8, 5e-5, -5e-5, 9.99e-5, -9.99e-5, 1e-4, 1e-3])
+def test_sin_over_x_within_an_ulp_of_its_series(x):
+    x2 = x * x
+    series = 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0))
+    assert abs(sin_over_x(np.array([x]))[0] - series) <= np.spacing(series)
+
+
+def test_sin_over_x_is_one_at_zero_and_warns_about_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for zero in (0.0, -0.0):
+            assert sin_over_x(zero) == 1.0
+            assert sin_over_x(np.array([zero, 1.0]))[0] == 1.0
+        np.testing.assert_array_equal(sin_over_x(np.zeros((2, 3))), np.ones((2, 3)))
 
 
 def test_versine_keeps_its_digits_above_the_series_cutoff():
