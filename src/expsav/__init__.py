@@ -4,7 +4,7 @@ Two families on periodic grids (1D/2D):
 
 * a linearly implicit scheme built on a scalar auxiliary variable, which
   conserves a quadratized modified energy exactly and solves one scalar
-  (wave) or one 2x2 (Schroedinger) equation per step, and
+  equation per step, for the half-step auxiliary value, and
 * a fully implicit averaged-gradient baseline that conserves the discrete
   Hamiltonian and is solved by fixed-point iteration.
 

@@ -19,12 +19,10 @@ share one fixed-point loop: it iterates from u^n until the sup-norm
 increment drops below cfg.tol, and stops with SolverError at the first
 non-finite increment or at the iteration cap.
 
-The linear flow acts on the state's spectra, so a step makes two
-transforms per iteration and two more. Wave: one inverse starts the
-iteration, each iteration makes a forward/inverse pair, u' keeps the
-spectrum of its last iteration and the chord average in v' is transformed
-forward once. Schroedinger: one inverse starts the iteration, each
-iteration makes a forward/inverse pair and u' is transformed forward once.
+The linear flow acts on the state's spectra, and u' keeps the spectrum of
+its last iteration. One inverse starts the iteration and each iteration
+makes a forward/inverse pair; the wave step transforms the chord average in
+v' forward once more. So a step makes 2 iters + 2 (wave) or 2 iters + 1 transforms.
 """
 
 from __future__ import annotations
@@ -35,7 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .fourier import apply_multipliers, forward_values, inverse_values, real_part
+# unused here; kept only because bench/tracer.py patches avf.apply_multipliers
+from .fourier import apply_multipliers  # noqa: F401
+from .fourier import forward_values, inverse_values, real_part
 from .kg import KgProblem, KgState, linear_flow
 from .nls import NlsProblem, NlsState
 from .tables import ExpPhiTables, NlsTables
@@ -68,21 +68,21 @@ def avf_gradient_nls(u_old: np.ndarray, u_new: np.ndarray) -> np.ndarray:
             + (a - b) * (cross - np.conj(cross)) / 12.0)
 
 
-def _fixed_point(update, u0: np.ndarray, cfg: FixedPointConfig) -> tuple[np.ndarray, int]:
-    """Iterate u <- update(u) from u0; returns (converged iterate, iteration count).
-
-    The iterate returned is the last update() output itself, unmixed:
-    eavf_step_kg takes u's spectrum from that call's transforms.
-    """
+def _fixed_point(update, u0: np.ndarray,
+                 cfg: FixedPointConfig) -> tuple[np.ndarray, np.ndarray, int]:
+    """Iterate u <- update(u) from u0; returns (converged iterate, its correction
+    spectrum, iteration count). update(u) returns the next iterate and the spectrum
+    of the correction it added to the linear flow; a stepper forms u's spectrum
+    from those of the last call, unmixed."""
     u_iter = u0
     for it in range(1, cfg.max_iters + 1):
-        u_next = update(u_iter)
+        u_next, fcorr = update(u_iter)
         incr = float(np.max(np.abs(u_next - u_iter)))
         if not math.isfinite(incr):
             raise SolverError(f"fixed point diverged at iteration {it}")
         u_iter = u_next
         if incr < cfg.tol:
-            return u_iter, it
+            return u_iter, fcorr, it
     raise SolverError(
         f"fixed point stalled at increment {incr:g} after {cfg.max_iters} iterations")
 
@@ -100,16 +100,14 @@ def eavf_step_kg(state: KgState, tables: ExpPhiTables, problem: KgProblem,
     u = state.u.values
     fzu, fzv = linear_flow(state.u_spectrum, state.v_spectrum, tables)
     zu = real_part(inverse_values(fzu, grid))
-    fcorr = None  # spectrum of phi12 fbar, kept from the last iteration for u'
 
     # the iteration adds the small phi-gradient term to the physical zu: its
     # roundoff scales with that term, not with |zu|, near the 1e-14 stop
     def update(u_iter):
-        nonlocal fcorr
         fcorr = tables.p12 * forward_values(avf_gradient_kg(problem, u, u_iter), grid)
-        return zu - tau * real_part(inverse_values(fcorr, grid))
+        return zu - tau * real_part(inverse_values(fcorr, grid)), fcorr
 
-    u_new, it = _fixed_point(update, u, cfg)
+    u_new, fcorr, it = _fixed_point(update, u, cfg)
     ffb = forward_values(avf_gradient_kg(problem, u, u_new), grid)
     fv_new = fzv - tau * (tables.p11 * ffb)
 
@@ -129,13 +127,15 @@ def eavf_step_nls(state: NlsState, tables: NlsTables, problem: NlsProblem,
     tau = tables.tau
     u = state.u.values
 
-    eu = inverse_values(tables.expD * state.u_spectrum, grid)
+    feu = tables.expD * state.u_spectrum
+    eu = inverse_values(feu, grid)
     coeff = 1j * problem.beta * tau
-    u_new, it = _fixed_point(
-        lambda u_iter: eu + coeff * apply_multipliers(avf_gradient_nls(u, u_iter),
-                                                      tables.sigma, grid),
-        u, cfg)
 
+    def update(u_iter):
+        fcorr = tables.sigma * forward_values(avf_gradient_nls(u, u_iter), grid)
+        return eu + coeff * inverse_values(fcorr, grid), fcorr
+
+    u_new, fcorr, it = _fixed_point(update, u, cfg)
     radicand = grid.cell * float(np.sum(np.abs(u_new) ** 4)) + problem.C0
     return state.advance(tau, u_new, np.sqrt(radicand),
-                         u_spectrum=forward_values(u_new, grid)), it
+                         u_spectrum=feu + coeff * fcorr), it

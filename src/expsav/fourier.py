@@ -48,9 +48,7 @@ def forward_values(values: np.ndarray, grid: GridSpec) -> np.ndarray:
         raise ValueError(f"{values.size} values for {grid.size} nodes")
     if not np.iscomplexobj(values):
         return np.fft.rfftn(values.reshape(grid.shape)).ravel()
-    if grid.dim == 1:
-        return np.fft.fft(values)
-    return np.fft.fft2(values.reshape(grid.shape)).ravel()
+    return np.fft.fftn(values.reshape(grid.shape)).ravel()
 
 
 def inverse_values(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -58,9 +56,7 @@ def inverse_values(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     if coeffs.size < grid.size:
         return np.fft.irfftn(coeffs.reshape(_half_shape(grid)), s=grid.shape,
                              axes=tuple(range(grid.dim))).ravel()
-    if grid.dim == 1:
-        return np.fft.ifft(coeffs)
-    return np.fft.ifft2(coeffs.reshape(grid.shape)).ravel()
+    return np.fft.ifftn(coeffs.reshape(grid.shape)).ravel()
 
 
 def apply_multipliers(values: np.ndarray, multipliers: np.ndarray, grid: GridSpec) -> np.ndarray:

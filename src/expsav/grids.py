@@ -70,10 +70,7 @@ class GridSpec:
 
     def coords(self) -> tuple[np.ndarray, ...]:
         """Per-axis coordinate arrays broadcast over the full grid shape."""
-        axes = [self.axis_nodes(k) for k in range(self.dim)]
-        if self.dim == 1:
-            return (axes[0],)
-        return tuple(np.meshgrid(*axes, indexing="ij"))
+        return tuple(np.meshgrid(*map(self.axis_nodes, range(self.dim)), indexing="ij"))
 
 
 def make_grid(a: float, b: float, n: int, dim: int = 1) -> GridSpec:

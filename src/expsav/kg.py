@@ -9,21 +9,21 @@ energy into a quadratic in (u, v, q):
 One step applies the exact flow of the stiff linear part through the
 per-mode exp/phi tables and treats the nonlinearity at the extrapolated
 midpoint uhat = (3 u^n - u^{n-1})/2 (u^0 at the first step), which makes
-the update linear in the unknowns. Eliminating q^{n+1/2} reduces the whole
-step to ONE scalar equation: with w = G'(uhat), s^2 = <G(uhat), 1> + C0,
+the update linear in the unknowns. With w = G'(uhat), s^2 = <G(uhat), 1> + C0
+and zu = e11 u + e12 v, the step is u' = zu - (tau q^{n+1/2} / s) * phi12 w,
+and q^{n+1/2} = q + <w, u' - u>/(4 s) closes it in ONE scalar equation:
 
-    gamma = tau/(4 s^2) * phi12 w
-    g     = e11 u + e12 v - (tau q^n / s) * phi12 w + gamma <w, u>
-    <w, u'> = <w, g> / (1 + <w, gamma>)
-    u' = g - gamma <w, u'>,   q' = q + <w, u' - u>/(2 s),
+    q^{n+1/2} = (q + <w, zu - u>/(4 s)) / (1 + tau/(4 s^2) * <w, phi12 w>),
+    q' = q + <w, u' - u>/(2 s),
     v' = e21 u + e11 v - (tau (q+q')/(2 s)) * phi11 w    (e22 = e11, phi22 = phi11).
 
 The update conserves E exactly in exact arithmetic, with no nonlinear
 iteration anywhere. The state keeps the half spectra of u and v, where
 the linear flow is a product: a step transforms w forward, takes
-<w, e11 u + e12 v> and <w, phi12 w> by Parseval, and inverts once for
-u': two real FFTs and one scalar solve. v' stays a half spectrum. q'
-uses the physical <w, u' - u>, which keeps the energy drift at roundoff.
+<w, zu> and <w, phi12 w> by Parseval, and inverts once for u': two real
+FFTs and one scalar division. v' stays a half spectrum. q' uses the
+physical <w, u' - u> rather than 2 q^{n+1/2} - q, which keeps the energy
+drift at roundoff.
 """
 
 from __future__ import annotations
@@ -124,17 +124,13 @@ def kg_step(state: KgState, tables: ExpPhiTables, problem: KgProblem) -> KgState
     fzu, fzv = linear_flow(state.u_spectrum, state.v_spectrum, tables)
     fphi12_w = tables.p12 * fw
 
-    # gamma = c * phi12 w; <w, gamma> and <w, g> follow from <w, phi12 w>
-    c = tau / (4.0 * s2)
+    # the one scalar equation for q^{n+1/2}, its inner products by Parseval
     w_phi12_w = half_inner(fw, fphi12_w, grid)
-    denom = require_positive(1.0 + c * w_phi12_w, "scalar-solve denominator")
-    w_u = cell * float(w @ u)
-    w_g = half_inner(fw, fzu, grid) + (c * w_u - tau * q / s) * w_phi12_w
-    w_dot_unew = w_g / denom
+    denom = require_positive(1.0 + tau / (4.0 * s2) * w_phi12_w, "scalar-solve denominator")
+    w_zu_u = half_inner(fw, fzu, grid) - cell * float(w @ u)
+    q_half = (q + w_zu_u / (4.0 * s)) / denom
 
-    # u' = g - gamma <w, u'> = zu + alpha * phi12 w
-    alpha = c * (w_u - w_dot_unew) - tau * q / s
-    fu_new = fzu + alpha * fphi12_w
+    fu_new = fzu - (tau * q_half / s) * fphi12_w
     u_new = real_part(inverse_values(fu_new, grid))
     q_new = q + cell * float(w @ (u_new - u)) / (2.0 * s)
     beta = tau * 0.5 * (q + q_new) / s

@@ -5,19 +5,18 @@ pseudo-spectrally (the Laplacian is diagonal in Fourier space with symbol
 lam). The auxiliary variable q = sqrt(<|u|^4, 1> + C0) quadratizes the
 quartic energy term. One step reads
 
-    u' = expD u + Phi gamma * q^{n+1/2},    Phi = i beta tau F^-1 Sigma F,
+    u' = e u + q^{n+1/2} * Phi gamma,    e = F^-1 expD F,    Phi = i beta tau F^-1 Sigma F,
     gamma = |uhat|^2 uhat / sqrt(<|uhat|^4, 1> + C0),
 
-with uhat the (3 u^n - u^{n-1})/2 extrapolation (u^0 at the first step).
-Pairing the update with gamma in both inner-product slots closes a 2x2
-linear system for (X, Y) = (<gamma, u'>, <u', gamma>), after which u' is
-recovered explicitly and q advances through its midpoint value:
+with uhat the (3 u^n - u^{n-1})/2 extrapolation (u^0 at the first step),
+and q^{n+1/2} = q + Re<gamma, u' - u> closes it in ONE real scalar equation:
 
-    q^{n+1/2} = q^n + (X + Y)/2 - Re<gamma, u^n>,   q' = 2 q^{n+1/2} - q^n.
+    q^{n+1/2} = (q + Re<gamma, e u - u>) / (1 - Re<gamma, Phi gamma>),
+    q' = 2 q^{n+1/2} - q.
 
 The state keeps the spectrum of u: a step transforms gamma forward, takes
-<gamma, Phi gamma> and <gamma, b> by Parseval and inverts once for u':
-two complex FFTs and one 2x2 solve.
+<gamma, e u> and <gamma, Phi gamma> by Parseval and inverts once for u':
+two complex FFTs and one scalar division.
 
 The conserved functional (see nls_modified_energy) is
 <Lap u, u> + beta/2 q^2 - beta/2 C0, which reduces to the continuous
@@ -39,8 +38,8 @@ from .fourier import apply_multipliers  # noqa: F401
 from .grids import ComplexField, GridSpec, State, sample, spectral_laplacian_eigenvalues
 from .tables import NlsTables
 
-# determinant of the 2x2 closure below this (relative) means corrupted tables
-_DET_TOL = 1e-14
+# a closure denominator below this, relative to 1 + |Re<gamma, Phi gamma>|, is singular
+_SINGULAR_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -90,26 +89,18 @@ def nls_step(state: NlsState, tables: NlsTables, problem: NlsProblem) -> NlsStat
 
     # <a, b> = cell sum a conj(b) = cell/N sum A conj(B) (Parseval); vdot conjugates a
     cell_n = cell / grid.size
-    ip_gamma_u = cell * np.vdot(u, gamma)                 # <gamma, u^n>
-    # <g,u> + <u,g> = 2 Re<g,u>
-    fb = tables.expD * state.u_spectrum + fphi_gamma * (q - ip_gamma_u.real)
-    a = cell_n * np.vdot(fphi_gamma, fgamma)              # <gamma, Phi gamma>
-
-    # [[1 - a/2, -a/2], [-conj(a)/2, 1 - conj(a)/2]] @ (X, Y) = (<gamma,b>, <b,gamma>)
+    a = cell_n * np.vdot(fphi_gamma, fgamma).real         # Re<gamma, Phi gamma>
     if not np.isfinite(a):
-        raise SolverError(f"2x2 closure coefficient <gamma, Phi gamma> is non-finite ({a:g})")
-    det = 1.0 - a.real
-    if abs(det) < _DET_TOL * (1.0 + abs(a)):
-        raise SolverError(f"2x2 closure is singular (det = {det:g}); tables are corrupted")
-    rhs1 = cell_n * np.vdot(fb, fgamma)                   # <gamma, b>
-    rhs2 = np.conj(rhs1)                                  # <b, gamma>
-    ac = np.conj(a)
-    x = ((1.0 - 0.5 * ac) * rhs1 + 0.5 * a * rhs2) / det
-    y = (0.5 * ac * rhs1 + (1.0 - 0.5 * a) * rhs2) / det
+        raise SolverError(f"closure coefficient Re<gamma, Phi gamma> is non-finite ({a:g})")
+    denom = 1.0 - a
+    if abs(denom) < _SINGULAR_TOL * (1.0 + abs(a)):
+        raise SolverError(f"closure is singular (1 - Re<gamma, Phi gamma> = {denom:g})")
+    feu = tables.expD * state.u_spectrum
+    eu_u = cell_n * np.vdot(feu, fgamma).real - cell * np.vdot(u, gamma).real  # Re<gamma, eu - u>
+    q_half = (q + eu_u) / denom
 
-    fu_new = (0.5 * (x + y)) * fphi_gamma + fb
+    fu_new = feu + q_half * fphi_gamma
     u_new = fourier.inverse_values(fu_new, grid)
-    q_half = q + 0.5 * (x + y).real - ip_gamma_u.real
     q_new = 2.0 * q_half - q
     return state.advance(tau, u_new, q_new, u_spectrum=fu_new)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from expsav.catalog import get_entry, sech
 from expsav.errors import SolverError
 from expsav.diagnostics import convergence_orders, error_norms
+from expsav.fourier import apply_multipliers
 from expsav.grids import ComplexField, make_grid, spectral_laplacian_eigenvalues
 from expsav.nls import (NlsProblem, NlsState, nls_hamiltonian, nls_init, nls_kinetic,
                         nls_modified_energy, nls_step)
@@ -21,6 +23,13 @@ def random_state(problem, rng, tau):
     q = float(np.sqrt(grid.cell * np.sum(np.abs(u) ** 4) + problem.C0))
     return NlsState(u=ComplexField(grid, u), q=q, u_prev=ComplexField(grid, u_prev),
                     n=2, t=2 * tau)
+
+
+def sav_gamma(state, problem):
+    """gamma = |uhat|^2 uhat / sqrt(<|uhat|^4, 1> + C0) of a state that has a previous level."""
+    uhat = 1.5 * state.u.values - 0.5 * state.u_prev.values
+    abs2 = np.abs(uhat) ** 2
+    return abs2 * uhat / np.sqrt(problem.grid.cell * np.sum(abs2**2) + problem.C0)
 
 
 # ---------------------------------------------------------------- init
@@ -152,9 +161,8 @@ def test_step_rejects_nonfinite_radicand():
         nls_step(state, tables, problem)
 
 
-def test_conjugate_pair_structure():
-    # the 2x2 closure must return <u, gamma> = conj(<gamma, u>); equivalently
-    # q stays real and u matches the oracle built on that conjugate structure
+def test_step_closes_on_the_half_step_auxiliary_value():
+    # the closure's defining identity: q^{n+1/2} = (q + q')/2 = q + Re<gamma, u' - u>
     rng = np.random.default_rng(9)
     grid = make_grid(0, 2 * np.pi, 16, 1)
     lam = spectral_laplacian_eigenvalues(grid)
@@ -162,14 +170,31 @@ def test_conjugate_pair_structure():
                          C0=0.3)
     tables = build_nls_tables(grid, lam, 0.02)
     state = random_state(problem, rng, 0.02)
-    uhat = 1.5 * state.u.values - 0.5 * state.u_prev.values
-    abs2 = np.abs(uhat) ** 2
-    s = np.sqrt(grid.cell * np.sum(abs2**2) + problem.C0)
-    gamma = abs2 * uhat / s
+    gamma = sav_gamma(state, problem)
     new = nls_step(state, tables, problem)
-    ip_forward = grid.cell * np.vdot(new.u.values, gamma)   # <gamma, u'>
-    ip_reverse = grid.cell * np.vdot(gamma, new.u.values)   # <u', gamma>
-    assert ip_reverse == pytest.approx(np.conj(ip_forward), abs=1e-12)
+    increment = grid.cell * np.vdot(new.u.values - state.u.values, gamma).real
+    assert 0.5 * (state.q + new.q) == pytest.approx(state.q + increment, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_step_rejects_a_singular_closure():
+    # scale sigma so that Re<gamma, Phi gamma> = 1: the denominator of q^{n+1/2} vanishes
+    grid = make_grid(0, 2 * np.pi, 8, 1)
+    problem = NlsProblem(grid=grid, beta=2.0, u0=lambda x: np.zeros_like(x, dtype=complex),
+                         C0=0.5)
+    tables = build_nls_tables(grid, spectral_laplacian_eigenvalues(grid), 0.01)
+    state = random_state(problem, np.random.default_rng(4), 0.01)
+    gamma = sav_gamma(state, problem)
+    phi_gamma = 1j * problem.beta * tables.tau * apply_multipliers(gamma, tables.sigma, grid)
+    re_a = grid.cell * np.vdot(phi_gamma, gamma).real
+    assert re_a > 0.0
+    singular = dataclasses.replace(tables, sigma=tables.sigma / re_a)
+    with pytest.raises(SolverError) as err:
+        nls_step(state, singular, problem)
+    message = re.fullmatch(r"closure is singular \(1 - Re<gamma, Phi gamma> = (\S+)\)",
+                           str(err.value))
+    assert message is not None, str(err.value)
+    assert abs(float(message.group(1))) < 2e-14
 
 
 def test_plane_wave_tracks_dispersion_relation():

@@ -338,12 +338,10 @@ def test_csv_headers_match_the_readme(tmp_path, capsys):
 DIVERGING_EAVFS = ["run", "--problem", "kg2d_cubic", "--tau", "4", "--t-end", "40",
                    "--n", "16", "--scheme", "eavfs"]
 DIVERGED_MSG = "expsav: solver failure: fixed point diverged at iteration 9\n"
-# an esavs blow-up: the guarded scalars of step 22 stay finite, but the solution
-# of the 2x2 closure overflows and the step returns a non-finite u
+# an esavs blow-up: the solution grows until |uhat|^4 overflows at step 33 of 60
 NONFINITE_ESAVS = ["run", "--problem", "nls2d_planewave", "--n", "32", "--tau", "4",
                    "--t-end", "240"]
-NONFINITE_MSG = ("expsav: solver failure: step 22 yields an invalid u: "
-                 "field contains non-finite values\n")
+NONFINITE_MSG = "expsav: solver failure: <|uhat|^4, 1> + C0 is non-finite (inf)\n"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -360,8 +358,8 @@ def test_cli_eavfs_divergence_fails_fast(argv, message, capsys):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_esavs_overflow_is_a_solver_failure(capsys):
-    # the modified energy drifts off until |uhat|^4 overflows at step 54
-    assert main(["run", "--problem", "nls2d_planewave", "--tau", "3", "--t-end", "300",
+    # the solution grows until |uhat|^4 overflows at step 127 of 150
+    assert main(["run", "--problem", "nls2d_planewave", "--tau", "3", "--t-end", "450",
                  "--n", "8"]) == 2
     assert capsys.readouterr().err == (
         "expsav: solver failure: <|uhat|^4, 1> + C0 is non-finite (inf)\n")

@@ -141,15 +141,16 @@ def test_energies_make_no_transform_on_a_stepped_state(scheme, transforms):
 
 @pytest.mark.parametrize("scheme", ["eavfs-wave", "eavfs-nls"])
 def test_eavfs_step_makes_two_transforms_per_iteration_and_two_more(scheme, transforms):
-    # one inverse starts the iteration, a forward/inverse pair per iteration, and
-    # one forward at the end: the chord average for v' (wave) or u' (nls)
+    # one inverse starts the iteration and a forward/inverse pair per iteration;
+    # the wave step makes one forward more, the chord average for v', while u'
+    # keeps the spectrum of its last iteration in both steps
     problem, tables, state, _ = stepped(scheme, LAYOUTS[2], 1)
     step = eavf_step_kg if scheme == "eavfs-wave" else eavf_step_nls
     transforms.clear()
     _, iters = step(state, tables, problem, CFG)
     real = scheme == "eavfs-wave"
     assert iters >= 2
-    assert sorted(transforms) == ([("forward", real)] * (iters + 1)
+    assert sorted(transforms) == ([("forward", real)] * (iters + real)
                                   + [("inverse", real)] * (iters + 1))
 
 
