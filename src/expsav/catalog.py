@@ -39,7 +39,6 @@ class CatalogEntry:
     default_c0: float
     make_problem: Callable[[GridSpec, float], KgProblem | NlsProblem]
     exact: Callable | None = None  # sampler (coords..., t) or None
-    default_transform: str = "identity"
 
     def make_grid(self, n: int | None = None) -> GridSpec:
         return make_grid(self.a, self.b, n if n is not None else self.default_n, self.dim)
@@ -55,17 +54,12 @@ def _sine_chord_mean(a, b):
     return np.sin(0.5 * (a + b)) * sin_over_x(0.5 * (b - a))
 
 
-def _sg1d_problem(grid: GridSpec, c0: float) -> KgProblem:
-    return KgProblem(
-        grid=grid,
-        omega=1.0,
-        G=lambda u: 1.0 - np.cos(u),
-        Gp=np.sin,
-        phi1=lambda x: np.zeros_like(x),
-        phi2=lambda x: 4.0 * sech(x),
-        C0=c0,
-        chord_mean=_sine_chord_mean,
-    )
+def _sine_gordon(phi1: Callable, phi2: Callable) -> Callable[[GridSpec, float], KgProblem]:
+    """Problem factory for u_tt = Lap(u) - sin(u) with u = phi1, u_t = phi2 at t = 0."""
+    def make(grid: GridSpec, c0: float) -> KgProblem:
+        return KgProblem(grid=grid, omega=1.0, G=lambda u: 1.0 - np.cos(u), Gp=np.sin,
+                         phi1=phi1, phi2=phi2, C0=c0, chord_mean=_sine_chord_mean)
+    return make
 
 
 def _sg1d_exact(x, t):
@@ -74,19 +68,6 @@ def _sg1d_exact(x, t):
 
 def _ring_radius(x, y):
     return np.sqrt((x + 3.0) ** 2 + (y + 7.0) ** 2)
-
-
-def _sg2d_problem(grid: GridSpec, c0: float) -> KgProblem:
-    return KgProblem(
-        grid=grid,
-        omega=1.0,
-        G=lambda u: 1.0 - np.cos(u),
-        Gp=np.sin,
-        phi1=lambda x, y: 4.0 * np.arctan(np.exp((4.0 - _ring_radius(x, y)) / 0.436)),
-        phi2=lambda x, y: 4.13 * sech((4.0 - _ring_radius(x, y)) / 0.436),
-        C0=c0,
-        chord_mean=_sine_chord_mean,
-    )
 
 
 def _kg2d_problem(grid: GridSpec, c0: float) -> KgProblem:
@@ -149,12 +130,15 @@ def get_entry(problem_id: str) -> CatalogEntry:
 register(CatalogEntry(
     id="sg1d", kind="wave", dim=1, a=-20.0, b=20.0,
     default_n=400, default_tau=0.01, default_t_end=1.0, default_c0=1.0,
-    make_problem=_sg1d_problem, exact=_sg1d_exact,
+    make_problem=_sine_gordon(lambda x: np.zeros_like(x), lambda x: 4.0 * sech(x)),
+    exact=_sg1d_exact,
 ))
 register(CatalogEntry(
     id="sg2d_ring", kind="wave", dim=2, a=-30.0, b=10.0,
     default_n=200, default_tau=0.1, default_t_end=10.0, default_c0=0.0,
-    make_problem=_sg2d_problem, default_transform="sin_half",
+    make_problem=_sine_gordon(
+        lambda x, y: 4.0 * np.arctan(np.exp((4.0 - _ring_radius(x, y)) / 0.436)),
+        lambda x, y: 4.13 * sech((4.0 - _ring_radius(x, y)) / 0.436)),
 ))
 register(CatalogEntry(
     id="kg2d_cubic", kind="wave", dim=2, a=-10.0, b=10.0,

@@ -11,10 +11,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .catalog import CATALOG, get_entry
+from .catalog import CATALOG
 from .errors import SolverError
-from .runner import (MANIFEST_KEYS, SCHEMES, TRANSFORMS, ProblemSpec, compare_driver,
-                     convergence_driver, parse_manifest, run, spec_from_mapping, write_rows)
+from .runner import (MANIFEST_KEYS, SCHEMES, ProblemSpec, compare_driver, convergence_driver,
+                     parse_manifest, run, spec_from_mapping, write_rows)
 
 EXIT_OK = 0
 EXIT_SOLVER = 2
@@ -22,7 +22,11 @@ EXIT_CONFIG = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on bad usage; remap to the config-error code."""
+    """argparse exits with 2 on bad usage; remap to the config-error code. Flags are not
+    abbreviated: a removed flag would read as a longer one (--h as --help, exit 0)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -32,7 +36,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: _Parser, with_scheme: bool = True):
     p.add_argument("--problem", required=True, help=f"one of: {', '.join(sorted(CATALOG))}")
     p.add_argument("--n", type=int, help="nodes per axis")
-    p.add_argument("--h", type=float, dest="h", help="grid spacing (alternative to --n)")
     p.add_argument("--tau", type=float, help="time step")
     p.add_argument("--t-end", type=float, dest="t_end", help="final time")
     p.add_argument("--c0", type=float, help="auxiliary-variable shift")
@@ -49,8 +52,6 @@ def build_parser() -> _Parser:
     _add_common(p_run)
     p_run.add_argument("--cadence", type=int, help="record every this many steps")
     p_run.add_argument("--snapshots", help="comma-separated field-dump times")
-    p_run.add_argument("--transform", choices=TRANSFORMS,
-                       help="pointwise transform applied to snapshots")
     p_run.add_argument("--config", help="manifest file; explicit flags override it")
 
     p_conv = sub.add_parser("converge", help="refinement ladder with observed orders")
@@ -63,14 +64,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _h_to_n(problem_id: str, h: float) -> int:
-    entry = get_entry(problem_id)
-    n = round((entry.b - entry.a) / h)
-    if n < 2 or abs(n * h - (entry.b - entry.a)) > 1e-9 * (entry.b - entry.a):
-        raise ValueError(f"h = {h:g} does not evenly divide [{entry.a:g}, {entry.b:g}]")
-    return n
-
-
 def _spec_from_args(args) -> ProblemSpec:
     mapping: dict[str, str] = {}
     if getattr(args, "config", None):
@@ -80,11 +73,10 @@ def _spec_from_args(args) -> ProblemSpec:
         value = getattr(args, key, None)
         if value is not None:
             mapping[key] = str(value)
-    if args.h is not None:
-        if args.n is not None:
-            raise ValueError("give either --n or --h, not both")
-        mapping["n"] = str(_h_to_n(mapping["problem"], args.h))
-    return spec_from_mapping(mapping)
+    spec = spec_from_mapping(mapping)
+    if spec.snapshot_times and spec.out is None:
+        raise ValueError("snapshots need an output directory (--out)")
+    return spec
 
 
 def _write_csv(out: str | None, name: str, rows: list):

@@ -7,10 +7,10 @@ reproduces the run byte-for-byte (no timestamps are written).
 
 CSV schema (one row per output time):
     t,E_mod,E_orig,err_l2,err_inf,iters
-Missing entries are left empty. Field snapshots are a short ASCII header
-(one ``key value`` line each, terminated by a ``data`` line) followed by
-raw little-endian float64 payload, row-major; complex fields store the
-real plane then the imaginary plane (``components 2``).
+Missing entries are left empty. A field snapshot holds the field u itself:
+a short ASCII header (one ``key value`` line each, terminated by a ``data``
+line) followed by raw little-endian float64 payload, row-major; complex
+fields store the real plane then the imaginary plane (``components 2``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .grids import ComplexField, Field, GridSpec
 from .tables import build_kg_tables, build_nls_tables
 
 SCHEMES = ("esavs", "eavfs")
-TRANSFORMS = ("identity", "sin_half")
 
 
 @dataclass(frozen=True)
@@ -46,22 +45,18 @@ class ProblemSpec:
     cadence: int = 10               # record diagnostics every this many steps
     out: str | None = None
     snapshot_times: tuple[float, ...] = ()
-    snapshot_transform: str | None = None
     fp_tol: float = 1e-14
     fp_max_iters: int = 200
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.snapshot_transform is not None and self.snapshot_transform not in TRANSFORMS:
-            raise ValueError(f"transform must be one of {TRANSFORMS}")
         if self.cadence < 1:
             raise ValueError("cadence must be >= 1")
 
 
 @dataclass
 class RunResult:
-    spec: ProblemSpec
     records: list[RunRecord]
     final_state: object
     total_iters: int
@@ -88,7 +83,6 @@ MANIFEST_KEYS = {
     "cadence": ("cadence", int),
     "out": ("out", str),
     "snapshots": ("snapshot_times", _times),
-    "transform": ("snapshot_transform", str),
     "fp_tol": ("fp_tol", float),
     "fp_max_iters": ("fp_max_iters", int),
 }
@@ -186,8 +180,7 @@ def run(spec: ProblemSpec) -> RunResult:
                                nls.nls_hamiltonian(st, problem))
     step = sav_step if spec.scheme == "esavs" else avf_step
 
-    transform = spec.snapshot_transform or entry.default_transform
-    snap_left = sorted(spec.snapshot_times)
+    snap_left = sorted(set(spec.snapshot_times))
     out_dir = Path(spec.out) if spec.out is not None else None
     files: list[Path] = []
     if out_dir is not None:
@@ -206,7 +199,7 @@ def run(spec: ProblemSpec) -> RunResult:
             target = snap_left.pop(0)
             if out_dir is not None:
                 path = out_dir / f"snapshot_t{target:g}.dat"
-                write_snapshot(path, st.u, st.t, transform)
+                write_snapshot(path, st.u, st.t)
                 files.append(path)
 
     records = [record(state, None)]
@@ -230,7 +223,7 @@ def run(spec: ProblemSpec) -> RunResult:
         csv_path = out_dir / "run.csv"
         write_run_csv(csv_path, records)
         files.append(csv_path)
-    return RunResult(spec=spec, records=records, final_state=state,
+    return RunResult(records=records, final_state=state,
                      total_iters=total_iters, wall_seconds=wall, files=files)
 
 
@@ -262,24 +255,17 @@ def write_run_csv(path: Path, records: list[RunRecord]):
     write_rows(path, records)
 
 
-def write_snapshot(path: Path, u: Field | ComplexField, t: float, transform: str):
-    """Self-describing binary field dump; see the module docstring for the layout."""
-    grid = u.grid
-    if transform == "sin_half":
-        payload = np.sin(0.5 * np.real(u.values))
-    elif transform == "identity":
-        payload = u.values
-    else:
-        raise ValueError(f"unknown transform {transform!r}")
+def write_snapshot(path: Path, u: Field | ComplexField, t: float):
+    """Self-describing binary dump of u; see the module docstring for the layout."""
+    grid, payload = u.grid, u.values
     complex_payload = np.iscomplexobj(payload)
     header = [
-        "expsav-snapshot 1",
+        "expsav-snapshot 2",
         f"dim {grid.dim}",
         "shape " + " ".join(str(m) for m in grid.n),
         "a " + " ".join(f"{v!r}" for v in grid.a),
         "b " + " ".join(f"{v!r}" for v in grid.b),
         f"time {t!r}",
-        f"transform {transform}",
         f"components {2 if complex_payload else 1}",
         "dtype <f8",
         "data",

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import os
 import re
@@ -14,8 +15,9 @@ import expsav
 from expsav import kg
 from expsav.catalog import CATALOG, CatalogEntry, get_entry, register
 from expsav.cli import build_parser, main
-from expsav.runner import (ProblemSpec, compare_driver, convergence_driver, parse_manifest,
-                           read_snapshot, run, spec_from_mapping, spec_to_manifest)
+from expsav.runner import (MANIFEST_KEYS, ProblemSpec, compare_driver, convergence_driver,
+                           parse_manifest, read_snapshot, run, spec_from_mapping,
+                           spec_to_manifest)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -58,7 +60,7 @@ def test_csv_bytes_reproducible_through_manifest(tmp_path):
 def test_manifest_with_every_key_set():
     spec = ProblemSpec(problem="sg2d_ring", scheme="eavfs", n=64, tau=0.05, t_end=2.5,
                        c0=0.5, cadence=3, out="results/ring", snapshot_times=(0.5, 2.5),
-                       snapshot_transform="identity", fp_tol=1e-12, fp_max_iters=50)
+                       fp_tol=1e-12, fp_max_iters=50)
     manifest = spec_to_manifest(spec)
     assert manifest == (
         "problem = sg2d_ring\n"
@@ -70,7 +72,6 @@ def test_manifest_with_every_key_set():
         "cadence = 3\n"
         "out = results/ring\n"
         "snapshots = 0.5, 2.5\n"
-        "transform = identity\n"
         "fp_tol = 1e-12\n"
         "fp_max_iters = 50\n"
     )
@@ -114,12 +115,15 @@ def test_ring_snapshots(tmp_path):
     result = run(spec)
     snaps = sorted(tmp_path.glob("snapshot_*.dat"))
     assert len(snaps) == 5
-    header, values = read_snapshot(snaps[0])
-    assert header["transform"] == "sin_half"
+    final = tmp_path / "snapshot_t10.dat"
+    assert final.read_bytes().startswith(b"expsav-snapshot 2\n")
+    header, values = read_snapshot(final)
+    assert "transform" not in header
     assert header["dim"] == "2"
     assert header["shape"] == "64 64"
-    assert values.size == 64 * 64
-    assert np.all(np.abs(values) <= 1.0)  # sin(u/2) range
+    assert header["components"] == "1"
+    # a snapshot holds u itself, bit for bit
+    assert values.tobytes() == result.final_state.u.values.tobytes()
 
 
 def test_snapshot_roundtrip_complex(tmp_path):
@@ -217,17 +221,6 @@ def test_cli_run_writes_csv(tmp_path, capsys):
     assert (tmp_path / "o" / "run.csv").exists()
 
 
-def test_cli_h_flag_matches_n(tmp_path):
-    # h = 0.5 on [-20, 20] resolves to n = 80
-    assert main(["run", "--problem", "sg1d", "--h", "0.5", "--tau", "0.1",
-                 "--t-end", "0.2", "--out", str(tmp_path / "h")]) == 0
-    header, *rows = (tmp_path / "h" / "run.csv").read_text().splitlines()
-    assert len(rows) == 2  # t = 0 and the final step (cadence 10 skips t = 0.1)
-    assert float(rows[-1].split(",")[0]) == pytest.approx(0.2)
-    assert main(["run", "--problem", "sg1d", "--h", "0.3", "--tau", "0.1",
-                 "--t-end", "0.2"]) == 3  # 0.3 does not divide the domain
-
-
 def test_cli_config_file_with_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("problem = sg1d\nn = 80\ntau = 0.05\nt_end = 0.5\n")
@@ -244,6 +237,29 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["converge", "--problem", "sg1d", "--levels", "1"]) == 3
     assert main(["run"]) == 3  # missing required flag
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags,manifest,code,err,files", [
+    (["--h", "0.5"], "", 3, "error: unrecognized arguments: --h 0.5\n", []),
+    (["--transform", "identity"], "", 3, "error: unrecognized arguments: --transform identity\n",
+     []),
+    ([], "transform = identity\n", 3,
+     "expsav: config error: manifest line 2: unknown key 'transform'\n", []),
+    (["--snapshots", "0.5"], "", 3,
+     "expsav: config error: snapshots need an output directory (--out)\n", []),
+    (["--snapshots", "0.5,0.5", "--out", "o"], "", 0, "", ["run.csv", "snapshot_t0.5.dat"]),
+])
+def test_cli_run_values_have_one_spelling(flags, manifest, code, err, files, tmp_path,
+                                          monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text("problem = sg1d\n" + manifest)
+    assert main(["run", "--problem", "sg1d", "--n", "40", "--tau", "0.1", "--t-end", "1",
+                 "--config", "run.cfg", *flags]) == code
+    out, got = capsys.readouterr()
+    assert got.endswith(err) and got.count("expsav: config error:") <= 1
+    # one file and one "wrote" line per distinct snapshot time
+    assert sorted(p.name for p in tmp_path.glob("o/*")) == files
+    assert out.count("wrote ") == len(files)
 
 
 def test_cli_solver_failure_exit_code(tmp_path, capsys):
@@ -316,6 +332,25 @@ def test_readme_commands_parse():
     for argv in commands:
         args = parser.parse_args(argv[1:])
         assert args.problem in CATALOG, argv
+
+
+def _readme_section(heading: str) -> str:
+    return README.read_text().split(heading, 1)[1].split("\n#", 1)[0]
+
+
+def test_readme_synopsis_lists_every_flag():
+    synopsis = re.search(r"^```\n(.*?)^```", _readme_section("## Command line"),
+                         re.S | re.M).group(1)
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices.values()
+    flags = {opt for sub in commands for action in sub._actions
+             for opt in action.option_strings} - {"-h", "--help"}
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", synopsis)) == flags
+
+
+def test_readme_lists_every_manifest_key():
+    keys = re.search(r"Keys:(.*?)\.\s", _readme_section("### Config manifests"), re.S).group(1)
+    assert set(re.findall(r"`(\w+)`", keys)) == set(MANIFEST_KEYS)
 
 
 def test_csv_headers_match_the_readme(tmp_path, capsys):
