@@ -37,7 +37,7 @@ from .errors import SolverError
 from .fourier import apply_multipliers  # noqa: F401
 from .fourier import forward_values, inverse_values, real_part
 from .kg import KgProblem, KgState, linear_flow
-from .nls import NlsProblem, NlsState
+from .nls import NlsProblem, NlsState, quartic_sum
 from .tables import ExpPhiTables, NlsTables
 
 
@@ -136,6 +136,6 @@ def eavf_step_nls(state: NlsState, tables: NlsTables, problem: NlsProblem,
         return eu + coeff * inverse_values(fcorr, grid), fcorr
 
     u_new, fcorr, it = _fixed_point(update, u, cfg)
-    radicand = grid.cell * float(np.sum(np.abs(u_new) ** 4)) + problem.C0
+    radicand = quartic_sum(u_new, grid) + problem.C0
     return state.advance(tau, u_new, np.sqrt(radicand),
                          u_spectrum=feu + coeff * fcorr), it

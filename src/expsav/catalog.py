@@ -13,7 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import GridSpec, fd_laplacian_eigenvalues, make_grid, spectral_laplacian_eigenvalues
+from .grids import (GridSpec, fd_laplacian_eigenvalues, make_grid, sample,
+                    spectral_laplacian_eigenvalues)
 from .kg import KgProblem
 from .nls import NlsProblem
 from .tables import sin_over_x
@@ -38,7 +39,9 @@ class CatalogEntry:
     default_t_end: float
     default_c0: float
     make_problem: Callable[[GridSpec, float], KgProblem | NlsProblem]
-    exact: Callable | None = None  # sampler (coords..., t) or None
+    # analytic solution or None: exact(grid) samples the t-independent factors
+    # once and returns t -> the flat node values at time t
+    exact: Callable[[GridSpec], Callable[[float], np.ndarray]] | None = None
 
     def make_grid(self, n: int | None = None) -> GridSpec:
         return make_grid(self.a, self.b, n if n is not None else self.default_n, self.dim)
@@ -62,8 +65,9 @@ def _sine_gordon(phi1: Callable, phi2: Callable) -> Callable[[GridSpec, float], 
     return make
 
 
-def _sg1d_exact(x, t):
-    return 4.0 * np.arctan(t * sech(x))
+def _sg1d_exact(grid: GridSpec) -> Callable[[float], np.ndarray]:
+    s = sample(grid, sech)
+    return lambda t: 4.0 * np.arctan(t * s)
 
 
 def _ring_radius(x, y):
@@ -74,7 +78,7 @@ def _kg2d_problem(grid: GridSpec, c0: float) -> KgProblem:
     return KgProblem(
         grid=grid,
         omega=1.0,
-        # products, not u**4 and u**3: numpy's pow is several times slower
+        # products, not powers: numpy's pow is several times slower
         G=lambda u: 0.25 * (u * u) * (u * u),
         Gp=lambda u: u * u * u,
         phi1=lambda x, y: 2.0 * sech(np.cosh(x**2 + y**2)),
@@ -94,8 +98,10 @@ def _nls1d_problem(grid: GridSpec, c0: float) -> NlsProblem:
     )
 
 
-def _nls1d_exact(x, t):
-    return sech(x - 4.0 * t) * np.exp(2j * x - 3j * t)
+def _nls1d_exact(grid: GridSpec) -> Callable[[float], np.ndarray]:
+    x = grid.axis_nodes(0)
+    phase = np.exp(2j * x)
+    return lambda t: sech(x - 4.0 * t) * np.exp(-3j * t) * phase
 
 
 def _nls2d_problem(grid: GridSpec, c0: float) -> NlsProblem:
@@ -107,9 +113,10 @@ def _nls2d_problem(grid: GridSpec, c0: float) -> NlsProblem:
     )
 
 
-def _nls2d_exact(x, y, t):
+def _nls2d_exact(grid: GridSpec) -> Callable[[float], np.ndarray]:
     # dispersion relation w = k1^2 + k2^2 - beta|A|^2 = 1 + 1 - (-1) = 3
-    return np.exp(1j * (x + y - 3.0 * t))
+    phase = sample(grid, lambda x, y: np.exp(1j * (x + y)))
+    return lambda t: np.exp(-3j * t) * phase
 
 
 CATALOG: dict[str, CatalogEntry] = {}

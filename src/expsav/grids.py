@@ -49,7 +49,7 @@ class GridSpec:
     def h(self) -> tuple[float, ...]:
         return tuple((hi - lo) / num for lo, hi, num in zip(self.a, self.b, self.n))
 
-    @property
+    @cached_property  # read by every step and several times per diagnostics row
     def cell(self) -> float:
         """Measure of one grid cell: h in 1D, hx*hy in 2D."""
         return math.prod(self.h)
@@ -173,14 +173,12 @@ class State:
         return new._keep(u_spectrum=u_spectrum)
 
 
-def sample(grid: GridSpec, fn, t: float | None = None) -> np.ndarray:
+def sample(grid: GridSpec, fn) -> np.ndarray:
     """Evaluate fn on the grid nodes, flat row-major.
 
-    fn takes the per-axis coordinate arrays (x in 1D, x, y in 2D) and
-    optionally the time t as a final argument.
+    fn takes the per-axis coordinate arrays (x in 1D, x, y in 2D).
     """
-    args = grid.coords() if t is None else (*grid.coords(), t)
-    out = np.asarray(fn(*args))
+    out = np.asarray(fn(*grid.coords()))
     return np.broadcast_to(out, grid.shape).ravel().copy()
 
 

@@ -10,7 +10,7 @@ from expsav.diagnostics import convergence_orders, error_norms
 from expsav.fourier import apply_multipliers
 from expsav.grids import ComplexField, make_grid, spectral_laplacian_eigenvalues
 from expsav.nls import (NlsProblem, NlsState, nls_hamiltonian, nls_init, nls_kinetic,
-                        nls_modified_energy, nls_step)
+                        nls_modified_energy, nls_step, quartic_sum)
 from expsav.tables import build_nls_tables
 
 import oracles
@@ -55,6 +55,14 @@ def test_init_soliton_matches_direct_sum():
     x = grid.axis_nodes(0)
     direct = np.sqrt(grid.cell * float(np.sum(sech(x) ** 4)))
     assert state.q == pytest.approx(direct, rel=1e-13)
+
+
+def test_quartic_sum_matches_abs_pow():
+    rng = np.random.default_rng(5)
+    grid = make_grid(-2, 3, 32, 2)
+    u = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
+    want = grid.cell * np.sum(np.abs(u) ** 4)
+    assert quartic_sum(u, grid) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_init_rejects_nonpositive_radicand():
@@ -209,7 +217,7 @@ def test_plane_wave_tracks_dispersion_relation():
         state = nls_init(problem)
         for _ in range(round(1.0 / tau)):
             state = nls_step(state, tables, problem)
-        errs.append(error_norms(state.u, entry.exact, state.t)[0])
+        errs.append(error_norms(state.u, entry.exact(grid), state.t)[0])
     assert errs[-1] < 3e-3
     order = convergence_orders(errs)[0]
     assert order == pytest.approx(2.0, abs=0.1)

@@ -17,3 +17,24 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_no_pow_with_a_constant_exponent_other_than_two():
+    # products, not u**4: numpy's pow is several times slower than a product,
+    # while x**2 is a square either way
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                exponent = node.right
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Pow):
+                exponent = node.value
+            else:
+                continue
+            try:
+                value = ast.literal_eval(exponent)  # a constant, -4 included
+            except ValueError:
+                continue  # a name or an expression, as in 2**level
+            if value != 2:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

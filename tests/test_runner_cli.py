@@ -15,7 +15,8 @@ import expsav
 from expsav import kg
 from expsav.catalog import CATALOG, CatalogEntry, get_entry, register
 from expsav.cli import build_parser, main
-from expsav.runner import (MANIFEST_KEYS, ProblemSpec, compare_driver, convergence_driver,
+from expsav.errors import SolverError
+from expsav.runner import (MANIFEST_KEYS, ProblemSpec, _fmt, compare_driver, convergence_driver,
                            parse_manifest, read_snapshot, run, spec_from_mapping,
                            spec_to_manifest)
 
@@ -157,13 +158,61 @@ def test_compare_driver_trivial_problem_and_iteration_counts():
             make_problem=lambda grid, c0: dataclasses.replace(
                 get_entry("sg1d").make_problem(grid, c0),
                 phi1=lambda x: np.zeros_like(x), phi2=lambda x: np.zeros_like(x)),
-            exact=lambda x, t: np.zeros_like(x),
+            exact=lambda grid: lambda t: np.zeros(grid.size),
         ))
     rows = compare_driver(ProblemSpec(problem="zero1d"))
     by_scheme = {r.scheme: r for r in rows}
     assert by_scheme["esavs"].total_iters == 0
     assert by_scheme["esavs"].err_l2 == 0.0
     assert by_scheme["eavfs"].err_l2 == 0.0  # identical (zero) solutions
+
+
+def test_run_samples_the_exact_factory_once_and_evaluates_it_per_row(monkeypatch):
+    calls = {"factory": 0, "rows": 0}
+    sg1d = get_entry("sg1d")
+
+    def counting_exact(grid):
+        calls["factory"] += 1
+        exact_at = sg1d.exact(grid)
+
+        def at(t):
+            calls["rows"] += 1
+            return exact_at(t)
+        return at
+
+    monkeypatch.setitem(CATALOG, "count1d", dataclasses.replace(
+        sg1d, id="count1d", exact=counting_exact))
+    spec = ProblemSpec(problem="count1d", n=64, tau=0.01, t_end=0.05, cadence=2)
+    result = run(spec)
+    assert len(result.records) == 4  # t = 0, 0.02, 0.04 and the final step
+    assert calls == {"factory": 1, "rows": 4}
+    run(spec)
+    assert calls == {"factory": 2, "rows": 8}
+
+
+FMT_CASES = [
+    (0.0, "0.0000000000000000e+00"),
+    (-0.0, "-0.0000000000000000e+00"),
+    (1.0 / 3.0, "3.3333333333333331e-01"),
+    (-2.5e-300, "-2.5000000000000000e-300"),
+    (1e300, "1.0000000000000001e+300"),
+    (5e-324, "4.9406564584124654e-324"),
+    (np.float64(0.1), "1.0000000000000001e-01"),
+    (-7.0, "-7.0000000000000000e+00"),
+    (42, "42"),
+    (None, ""),
+]
+
+
+def test_fmt_text_is_fixed():
+    assert [_fmt(v) for v, _ in FMT_CASES] == [text for _, text in FMT_CASES]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+def test_fmt_refuses_a_nonfinite_value(value):
+    with pytest.raises(SolverError,
+                       match=re.escape(f"non-finite diagnostic {value!r}; refusing to write it")):
+        _fmt(value)
 
 
 def test_compare_driver_sg1d_short():
