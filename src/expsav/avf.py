@@ -15,9 +15,11 @@ to machine precision, which is what makes the baseline conserve its own
 discrete (unmodified) energy. Each closed form is one elementwise pass and
 keeps its digits on short chords, where a quotient of differences would
 lose them and keep the iteration from reaching tol. Both implicit updates
-share one fixed-point loop: it iterates from u^n until the sup-norm
-increment drops below cfg.tol, and stops with SolverError at the first
-non-finite increment or at the iteration cap.
+share one fixed-point loop. It iterates from u^n until the sup-norm
+increment, or the estimated distance theta/(1-theta)*increment to the fixed
+point (theta the ratio of consecutive increments, Hairer & Wanner II, IV.8),
+drops below cfg.tol, and stops with SolverError at the first non-finite
+increment or at the iteration cap.
 
 The linear flow acts on the state's spectra, and u' keeps the spectrum of
 its last iteration. One inverse starts the iteration and each iteration
@@ -43,7 +45,9 @@ from .tables import ExpPhiTables, NlsTables
 
 @dataclass(frozen=True)
 class FixedPointConfig:
-    """Stopping rule for the implicit solve."""
+    """Stopping rule for the implicit solve: tol bounds the last sup-norm increment
+    or the estimated distance theta/(1-theta)*increment to the fixed point,
+    whichever drops below it first; max_iters caps the iterations."""
 
     tol: float = 1e-14
     max_iters: int = 200
@@ -74,15 +78,17 @@ def _fixed_point(update, u0: np.ndarray,
     spectrum, iteration count). update(u) returns the next iterate and the spectrum
     of the correction it added to the linear flow; a stepper forms u's spectrum
     from those of the last call, unmixed."""
-    u_iter = u0
+    u_iter, prev = u0, math.nan  # no ratio at iteration 1: theta is nan, never < 1
     for it in range(1, cfg.max_iters + 1):
         u_next, fcorr = update(u_iter)
         incr = float(np.max(np.abs(u_next - u_iter)))
         if not math.isfinite(incr):
             raise SolverError(f"fixed point diverged at iteration {it}")
         u_iter = u_next
-        if incr < cfg.tol:
+        theta = incr / prev  # observed contraction ratio
+        if incr < cfg.tol or (theta < 1.0 and theta / (1.0 - theta) * incr < cfg.tol):
             return u_iter, fcorr, it
+        prev = incr
     raise SolverError(
         f"fixed point stalled at increment {incr:g} after {cfg.max_iters} iterations")
 

@@ -21,10 +21,16 @@ from .tables import sin_over_x
 
 
 def sech(z):
-    """Numerically safe 1/cosh: decays to 0 instead of overflowing."""
-    az = np.abs(z)
-    e = np.exp(-az)
-    return 2.0 * e / (1.0 + e * e)
+    """Numerically safe 1/cosh: decays to 0 instead of overflowing. Bitwise
+    2.0 * e / (1.0 + e * e) with e = exp(-|z|), formed in two work arrays."""
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    denom = e * e
+    denom += 1.0
+    e *= 2.0
+    e /= denom
+    return e
 
 
 @dataclass(frozen=True)

@@ -86,8 +86,8 @@ def nls_step(state: NlsState, tables: NlsTables, problem: NlsProblem) -> NlsStat
     u, q = state.u.values, state.q
 
     uhat = state.predictor()
-    abs2 = np.abs(uhat) ** 2
-    s2 = require_positive(cell * float(np.sum(abs2**2)) + problem.C0, "<|uhat|^4, 1> + C0")
+    abs2 = uhat.real * uhat.real + uhat.imag * uhat.imag
+    s2 = require_positive(cell * float(np.dot(abs2, abs2)) + problem.C0, "<|uhat|^4, 1> + C0")
     s = np.sqrt(s2)
     gamma = (abs2 * uhat) / s
     fgamma = fourier.forward_values(gamma, grid)

@@ -56,7 +56,9 @@ def test_criterion_1_error_table_esavs():
 
 def test_criterion_2_error_table_eavfs():
     with criterion(2, "1D sine-Gordon error table, implicit averaged-gradient baseline"):
-        rows = table_ladder("eavfs")  # fixed-point tolerance 1e-14 (spec default)
+        # fp_tol 1e-14 (spec default) bounds the last increment or the estimated
+        # distance to the fixed point, whichever drops below it first
+        rows = table_ladder("eavfs")
         for row, want in zip(rows, TABLE_EAVFS_L2):
             assert row.err_l2 == pytest.approx(want, rel=0.10)
         for row in rows[1:]:

@@ -1,8 +1,11 @@
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
 
+from expsav import avf
 from expsav.avf import (FixedPointConfig, avf_gradient_kg, avf_gradient_nls, eavf_step_kg,
                         eavf_step_nls)
 from expsav.catalog import CATALOG, get_entry
@@ -11,6 +14,7 @@ from expsav.grids import (Field, GridSpec, fd_laplacian_eigenvalues, make_grid,
                           spectral_laplacian_eigenvalues)
 from expsav.kg import KgState, kg_init, kg_original_energy
 from expsav.nls import NlsProblem, nls_hamiltonian, nls_init
+from expsav.runner import ProblemSpec, run
 from expsav.tables import build_kg_tables, build_nls_tables
 
 import oracles
@@ -67,6 +71,81 @@ def test_nonconvergence_raises():
     with pytest.raises(SolverError, match="stalled"):
         eavf_step_kg(kg_init(problem), tables, problem,
                      FixedPointConfig(tol=1e-14, max_iters=1))
+
+
+def linear_map(theta, c):
+    """u <- theta u + c: from u = 0 its k-th increment is theta^(k-1) c."""
+    def update(u):
+        with np.errstate(over="ignore"):
+            return theta * u + c, None
+    return update
+
+
+@pytest.mark.parametrize("theta,tol", [(1e-3, 1e-14), (0.6, 1e-9)])
+def test_fixed_point_stops_at_the_first_absolute_or_rate_test(theta, tol):
+    c = np.array([1.0, -0.25, 0.5])
+    # increment k is theta^(k-1) max|c|, and the rate test sees theta/(1-theta) times
+    # it from k = 2 on. Each test first holds at the integer k past its threshold;
+    # every quantity compared lies at least 20 % from tol, beyond any roundoff.
+    rate = theta / (1.0 - theta)
+    k_abs = math.floor(math.log(1.0 / tol) / math.log(1.0 / theta)) + 2
+    k_rate = max(2, math.floor(math.log(rate / tol) / math.log(1.0 / theta)) + 2)
+    want = min(k_abs, k_rate)
+    # theta = 1e-3 stops on the rate test, an iteration early; 0.6 on the absolute one
+    assert (want, k_rate < k_abs) == {1e-3: (5, True), 0.6: (42, False)}[theta]
+    u, _, iters = avf._fixed_point(linear_map(theta, c), np.zeros(3), FixedPointConfig(tol=tol))
+    assert iters == want
+    np.testing.assert_allclose(u, c / (1.0 - theta), rtol=0.0, atol=2.0 * tol)
+
+
+@pytest.mark.parametrize("theta,max_iters,message", [
+    (1.0, 30, "fixed point stalled at increment 1 after 30 iterations"),
+    # theta/(1-theta) < 0 would pass a rate test that lacked its theta < 1 guard
+    (2.0, 30, "fixed point stalled at increment 5.36871e+08 after 30 iterations"),
+    (1e100, 200, "fixed point diverged at iteration 5"),
+])
+def test_fixed_point_rate_test_never_stops_a_growing_map(theta, max_iters, message):
+    with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
+        avf._fixed_point(linear_map(theta, np.ones(2)), np.zeros(2),
+                         FixedPointConfig(max_iters=max_iters))
+
+
+def fixed_point_to_roundoff(update, u0):
+    """The same iteration, continued until its increment stops shrinking."""
+    u, prev = u0, np.inf
+    for _ in range(100):
+        u_next, _ = update(u)
+        incr = np.max(np.abs(u_next - u))
+        u = u_next
+        if incr >= prev:
+            return u
+        prev = incr
+    raise AssertionError("the increment kept shrinking for 100 iterations")
+
+
+@pytest.mark.parametrize("problem_id", ["kg2d_cubic", "nls2d_planewave"])
+def test_rate_stop_lies_within_two_tol_of_the_fixed_point(problem_id, monkeypatch):
+    # what README says fp_tol bounds: each step's iterate is within 2 fp_tol of the
+    # fixed point of the same step's map, solved to roundoff
+    solve, dist = avf._fixed_point, []
+
+    def checked(update, u0, cfg):
+        u, fcorr, iters = solve(update, u0, cfg)
+        dist.append(float(np.max(np.abs(u - fixed_point_to_roundoff(update, u0)))))
+        return u, fcorr, iters
+
+    monkeypatch.setattr(avf, "_fixed_point", checked)
+    spec = ProblemSpec(problem=problem_id, scheme="eavfs",
+                       t_end=20 * get_entry(problem_id).default_tau)
+    run(spec)
+    assert len(dist) == 20
+    assert max(dist) <= 2.0 * spec.fp_tol
+
+
+@pytest.mark.parametrize("problem_id,most", [("sg1d", 300), ("nls2d_planewave", 600)])
+def test_eavfs_iteration_totals_at_catalog_defaults(problem_id, most):
+    # the absolute stop alone took 400 and 800: one more iteration per step
+    assert run(ProblemSpec(problem=problem_id, scheme="eavfs")).total_iters <= most
 
 
 def test_discrete_gradient_identity_kg():

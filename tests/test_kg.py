@@ -62,6 +62,22 @@ def test_init_cubic_2d_matches_direct_sum():
     assert state.q == pytest.approx(direct, rel=1e-13)
 
 
+def test_sech_is_bitwise_the_out_of_place_formula():
+    rng = np.random.default_rng(19)
+    x, y = get_entry("kg2d_cubic").make_grid(64).coords()
+    # |z| >= 800 takes exp(-|z|) to 0; cosh(x^2 + y^2) is kg2d_cubic's initial-data argument
+    z = np.concatenate([rng.normal(scale=20.0, size=10_000),
+                        rng.uniform(-2000.0, 2000.0, size=1_000),
+                        [0.0, -0.0, 800.0, -800.0], np.cosh(x**2 + y**2).ravel()])
+    z_before = z.copy()
+    e = np.exp(-np.abs(z))
+    want = 2.0 * e / (1.0 + e * e)
+    got = sech(z)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    np.testing.assert_array_equal(z, z_before)
+    assert np.all(got[np.abs(z) >= 800.0] == 0.0)
+
+
 def test_init_rejects_nonpositive_radicand():
     grid = make_grid(0, 1, 8, 1)
     problem = KgProblem(grid=grid, omega=1.0, G=lambda u: np.zeros_like(u),
