@@ -34,14 +34,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: _Parser, with_scheme: bool = True):
-    p.add_argument("--problem", required=True, help=f"one of: {', '.join(sorted(CATALOG))}")
-    p.add_argument("--n", type=int, help="nodes per axis")
-    p.add_argument("--tau", type=float, help="time step")
-    p.add_argument("--t-end", type=float, dest="t_end", help="final time")
-    p.add_argument("--c0", type=float, help="auxiliary-variable shift")
+    # the run settings stay text: spec_from_mapping parses them, as it does a manifest's
+    p.add_argument("--problem", help=f"one of: {', '.join(sorted(CATALOG))}")
+    p.add_argument("--n", help="nodes per axis")
+    p.add_argument("--tau", help="time step")
+    p.add_argument("--t-end", dest="t_end", help="final time")
+    p.add_argument("--c0", help="auxiliary-variable shift")
     p.add_argument("--out", help="output directory")
     if with_scheme:
-        p.add_argument("--scheme", choices=SCHEMES, help="time integrator")
+        p.add_argument("--scheme", help=f"time integrator: {' or '.join(SCHEMES)}")
 
 
 def build_parser() -> _Parser:
@@ -50,9 +51,9 @@ def build_parser() -> _Parser:
 
     p_run = sub.add_parser("run", help="integrate one problem and emit a CSV")
     _add_common(p_run)
-    p_run.add_argument("--cadence", type=int, help="record every this many steps")
+    p_run.add_argument("--cadence", help="record every this many steps")
     p_run.add_argument("--snapshots", help="comma-separated field-dump times")
-    p_run.add_argument("--config", help="manifest file; explicit flags override it")
+    p_run.add_argument("--config", help="manifest file to run; explicit flags override it")
 
     p_conv = sub.add_parser("converge", help="refinement ladder with observed orders")
     _add_common(p_conv)
@@ -60,7 +61,7 @@ def build_parser() -> _Parser:
 
     p_cmp = sub.add_parser("compare", help="run both schemes on identical settings")
     _add_common(p_cmp, with_scheme=False)
-    p_cmp.add_argument("--cadence", type=int, help="sample E_mod every this many steps")
+    p_cmp.add_argument("--cadence", help="sample E_mod every this many steps")
     return parser
 
 
@@ -69,10 +70,8 @@ def _spec_from_args(args) -> ProblemSpec:
     if getattr(args, "config", None):
         mapping = parse_manifest(Path(args.config).read_text())
     # flags carry the manifest key names; flags a subcommand lacks read as unset
-    for key in MANIFEST_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            mapping[key] = str(value)
+    mapping.update((key, getattr(args, key)) for key in MANIFEST_KEYS
+                   if getattr(args, key, None) is not None)
     spec = spec_from_mapping(mapping)
     if spec.snapshot_times and spec.out is None:
         raise ValueError("snapshots need an output directory (--out)")

@@ -2,8 +2,9 @@
 
 A ProblemSpec pins everything needed to reproduce a run: catalog problem,
 scheme, grid resolution, time step, horizon, SAV shift and output plan.
-Specs serialize to a flat ``key = value`` manifest; reloading a manifest
-reproduces the run byte-for-byte (no timestamps are written).
+Run settings arrive as text, from CLI flags or a flat ``key = value``
+manifest, and MANIFEST_KEYS parses both alike; rerunning a manifest
+reproduces its run byte-for-byte (no timestamps are written).
 
 CSV schema (one row per output time):
     t,E_mod,E_orig,err_l2,err_inf,iters
@@ -35,7 +36,7 @@ SCHEMES = ("esavs", "eavfs")
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Complete, serializable description of one run."""
+    """Complete description of one run."""
 
     problem: str
     scheme: str = "esavs"
@@ -51,9 +52,9 @@ class ProblemSpec:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+            raise ValueError(f"scheme = {self.scheme!r}: must be one of {', '.join(SCHEMES)}")
         if self.cadence < 1:
-            raise ValueError("cadence must be >= 1")
+            raise ValueError(f"cadence = {self.cadence!r}: must be >= 1")
 
 
 @dataclass
@@ -66,14 +67,14 @@ class RunResult:
 
 
 # --------------------------------------------------------------------------
-# spec resolution and manifest round-trip
+# spec resolution and manifest parsing
 # --------------------------------------------------------------------------
 
 def _times(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(",") if p.strip())
 
 
-# manifest key -> (ProblemSpec field, parser of the manifest text), in manifest order
+# run setting -> (ProblemSpec field, parser of its text); flags and manifests alike
 MANIFEST_KEYS = {
     "problem": ("problem", str),
     "scheme": ("scheme", str),
@@ -112,23 +113,6 @@ def resolve(spec: ProblemSpec) -> tuple[CatalogEntry, GridSpec, object, float, f
     return entry, grid, problem, tau, t_end, n_steps
 
 
-def spec_to_manifest(spec: ProblemSpec) -> str:
-    """Flat key = value manifest, the same format parse_manifest reads; unset keys are left out."""
-    lines = []
-    for key, (name, _) in MANIFEST_KEYS.items():
-        value = getattr(spec, name)
-        if value is None or value == ():
-            continue
-        if isinstance(value, tuple):
-            text = ", ".join(repr(t) for t in value)
-        else:
-            text = repr(value) if isinstance(value, float) else str(value)
-        if "#" in text or text.strip() != text or len(text.splitlines()) > 1:
-            raise ValueError(f"{key} = {text!r} would not read back from a manifest")
-        lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_manifest(text: str) -> dict[str, str]:
     """Parse ``key = value`` lines; '#' starts a comment, blank lines ignored."""
     out: dict[str, str] = {}
@@ -141,16 +125,24 @@ def parse_manifest(text: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in MANIFEST_KEYS:
             raise ValueError(f"manifest line {lineno}: unknown key {key!r}")
+        if key in out:
+            raise ValueError(f"manifest line {lineno}: duplicate key {key!r}")
         out[key] = value
     return out
 
 
 def spec_from_mapping(mapping: dict[str, str]) -> ProblemSpec:
-    """Build a ProblemSpec from manifest strings (all values still textual)."""
+    """Build a ProblemSpec from run settings as text, each parsed by its MANIFEST_KEYS entry."""
     if "problem" not in mapping:
-        raise ValueError("manifest is missing the 'problem' key")
-    return ProblemSpec(**{name: parse(mapping[key])
-                          for key, (name, parse) in MANIFEST_KEYS.items() if key in mapping})
+        raise ValueError("no problem given (--problem, or the 'problem' key of a run manifest)")
+    values = {}
+    for key, (name, parse) in MANIFEST_KEYS.items():
+        if key in mapping:
+            try:
+                values[name] = parse(mapping[key])
+            except ValueError as exc:
+                raise ValueError(f"{key} = {mapping[key]!r}: {exc}") from None
+    return ProblemSpec(**values)
 
 
 # --------------------------------------------------------------------------

@@ -17,8 +17,7 @@ from expsav.catalog import CATALOG, CatalogEntry, get_entry, register
 from expsav.cli import build_parser, main
 from expsav.errors import SolverError
 from expsav.runner import (MANIFEST_KEYS, ProblemSpec, _fmt, compare_driver, convergence_driver,
-                           parse_manifest, read_snapshot, run, spec_from_mapping,
-                           spec_to_manifest)
+                           parse_manifest, read_snapshot, run, spec_from_mapping)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -47,23 +46,20 @@ def test_run_sg1d_final_error(tmp_path):
     assert times == sorted(times)
 
 
-def test_csv_bytes_reproducible_through_manifest(tmp_path):
+def test_csv_bytes_reproducible_through_manifest(tmp_path, capsys):
+    # a manifest alone, with no flag beside it, reruns the flag-driven run
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    spec = ProblemSpec(problem="sg1d", n=80, tau=0.05, t_end=0.5, out=str(out_a))
-    run(spec)
-    manifest = spec_to_manifest(spec)
-    reloaded = spec_from_mapping(parse_manifest(manifest))
-    assert reloaded == ProblemSpec(**{**spec.__dict__})
-    run(ProblemSpec(**{**reloaded.__dict__, "out": str(out_b)}))
+    assert main(["run", "--problem", "sg1d", "--n", "80", "--tau", "0.05", "--t-end", "0.5",
+                 "--out", str(out_a)]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"problem = sg1d\nn = 80\ntau = 0.05\nt_end = 0.5\nout = {out_b}\n")
+    assert main(["run", "--config", str(cfg)]) == 0
     assert (out_a / "run.csv").read_bytes() == (out_b / "run.csv").read_bytes()
+    assert capsys.readouterr().err == ""
 
 
 def test_manifest_with_every_key_set():
-    spec = ProblemSpec(problem="sg2d_ring", scheme="eavfs", n=64, tau=0.05, t_end=2.5,
-                       c0=0.5, cadence=3, out="results/ring", snapshot_times=(0.5, 2.5),
-                       fp_tol=1e-12, fp_max_iters=50)
-    manifest = spec_to_manifest(spec)
-    assert manifest == (
+    manifest = (
         "problem = sg2d_ring\n"
         "scheme = eavfs\n"
         "n = 64\n"
@@ -76,22 +72,25 @@ def test_manifest_with_every_key_set():
         "fp_tol = 1e-12\n"
         "fp_max_iters = 50\n"
     )
-    assert spec_from_mapping(parse_manifest(manifest)) == spec
-
-
-@pytest.mark.parametrize("out", ["runs/#3", "runs/\n3", "runs/\r3", "runs/\u20283", " runs",
-                                 "runs\n"])
-def test_manifest_refuses_a_value_it_would_not_read_back(out):
-    # '#' starts a comment, and parse_manifest splits lines and strips values
-    with pytest.raises(ValueError, match="out = .* would not read back"):
-        spec_to_manifest(ProblemSpec(problem="sg1d", out=out))
-    spec = ProblemSpec(problem="sg1d", out="runs/a b")
-    assert spec_from_mapping(parse_manifest(spec_to_manifest(spec))) == spec
+    assert spec_from_mapping(parse_manifest(manifest)) == ProblemSpec(
+        problem="sg2d_ring", scheme="eavfs", n=64, tau=0.05, t_end=2.5, c0=0.5, cadence=3,
+        out="results/ring", snapshot_times=(0.5, 2.5), fp_tol=1e-12, fp_max_iters=50)
 
 
 def test_manifest_rejects_unknown_key():
     with pytest.raises(ValueError):
         parse_manifest("problem = sg1d\nbogus = 3\n")
+
+
+def test_manifest_rejects_a_duplicate_key(tmp_path, capsys):
+    text = "problem = sg1d\ntau = 0.05\n# tau again\ntau = 0.1\n"
+    with pytest.raises(ValueError, match="^manifest line 4: duplicate key 'tau'$"):
+        parse_manifest(text)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg), "--n", "16", "--t-end", "0.1"]) == 3
+    assert capsys.readouterr().err == (
+        "expsav: config error: manifest line 4: duplicate key 'tau'\n")
 
 
 def test_manifest_comments_and_blanks():
@@ -284,8 +283,50 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "--problem", "bogus"]) == 3
     assert main(["run", "--problem", "sg1d", "--tau", "-0.1"]) == 3
     assert main(["converge", "--problem", "sg1d", "--levels", "1"]) == 3
-    assert main(["run"]) == 3  # missing required flag
+    assert main(["run"]) == 3  # no problem given
     capsys.readouterr()
+
+
+NO_PROBLEM = ("expsav: config error: no problem given (--problem, or the 'problem' key of a "
+              "run manifest)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["run", "--config", "run.cfg"],
+    ["converge", "--levels", "2"],
+    ["compare", "--n", "16"],
+])
+def test_cli_missing_problem_is_one_config_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text("n = 16\ntau = 0.1\n")
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", NO_PROBLEM)
+
+
+@pytest.mark.parametrize("flag,key,text,message", [
+    ("--n", "n", "x", "invalid literal for int() with base 10: 'x'"),
+    ("--n", "n", "16.0", "invalid literal for int() with base 10: '16.0'"),
+    ("--tau", "tau", "", "could not convert string to float: ''"),
+    ("--tau", "tau", "fast", "could not convert string to float: 'fast'"),
+    ("--t-end", "t_end", "1,5", "could not convert string to float: '1,5'"),
+    ("--c0", "c0", "one", "could not convert string to float: 'one'"),
+    ("--cadence", "cadence", "", "invalid literal for int() with base 10: ''"),
+    ("--cadence", "cadence", "2.5", "invalid literal for int() with base 10: '2.5'"),
+    ("--scheme", "scheme", "rk4", "must be one of esavs, eavfs"),
+    ("--scheme", "scheme", "", "must be one of esavs, eavfs"),
+])
+def test_cli_bad_value_fails_alike_as_flag_and_manifest_line(flag, key, text, message,
+                                                              tmp_path, monkeypatch, capsys):
+    # one parser and one check for both sources: the same single line, naming the key
+    monkeypatch.chdir(tmp_path)
+    line = f"expsav: config error: {key} = {text!r}: {message}\n"
+    base = ["run", "--problem", "sg1d", "--n", "16", "--tau", "0.1", "--t-end", "0.2"]
+    assert main([*base, flag, text]) == 3
+    assert capsys.readouterr() == ("", line)
+    Path("run.cfg").write_text(f"problem = sg1d\n{key} = {text}\n")
+    assert main(["run", "--config", "run.cfg"]) == 3
+    assert capsys.readouterr() == ("", line)
 
 
 @pytest.mark.parametrize("flags,manifest,code,err,files", [
