@@ -55,6 +55,10 @@ class ProblemSpec:
             raise ValueError(f"scheme = {self.scheme!r}: must be one of {', '.join(SCHEMES)}")
         if self.cadence < 1:
             raise ValueError(f"cadence = {self.cadence!r}: must be >= 1")
+        if not (math.isfinite(self.fp_tol) and self.fp_tol > 0.0):
+            raise ValueError(f"fp_tol = {self.fp_tol!r}: must be positive and finite")
+        if self.fp_max_iters < 1:
+            raise ValueError(f"fp_max_iters = {self.fp_max_iters!r}: must be >= 1")
 
 
 @dataclass
@@ -74,6 +78,13 @@ def _times(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(",") if p.strip())
 
 
+def _directory(text: str) -> str:
+    # Path("") is the working directory, which no one means by an empty value
+    if not text.strip():
+        raise ValueError("must name a directory")
+    return text
+
+
 # run setting -> (ProblemSpec field, parser of its text); flags and manifests alike
 MANIFEST_KEYS = {
     "problem": ("problem", str),
@@ -83,7 +94,7 @@ MANIFEST_KEYS = {
     "t_end": ("t_end", float),
     "c0": ("c0", float),
     "cadence": ("cadence", int),
-    "out": ("out", str),
+    "out": ("out", _directory),
     "snapshots": ("snapshot_times", _times),
     "fp_tol": ("fp_tol", float),
     "fp_max_iters": ("fp_max_iters", int),

@@ -33,7 +33,7 @@ VALUES = {
     "snapshots": (("0", "0.1, 0.2"), ("0.5", "a,b", *BAD)),
     "fp_tol": (("1e-12",), BAD),
     "fp_max_iters": (("1", "50"), ("2.5", *BAD)),
-    "out": (("{tmp}/out", "{tmp}/file/out"), ()),
+    "out": (("{tmp}/out", "{tmp}/file/out"), ("", " ")),
 }
 # without the sizes a run falls back to catalog sizes, too large for a property test
 REQUIRED = ("problem", "n", "tau", "t_end")

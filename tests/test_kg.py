@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,47 @@ def test_sech_is_bitwise_the_out_of_place_formula():
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
     np.testing.assert_array_equal(z, z_before)
     assert np.all(got[np.abs(z) >= 800.0] == 0.0)
+
+
+# ---------------------------------------------------------------- sine-Gordon kernels
+
+def test_sine_gordon_kernels_match_libm():
+    # the half-angle kernels against libm, in absolute terms: within 3 ulp(1)
+    entry = get_entry("sg1d")
+    problem = entry.make_problem(entry.make_grid(8), 1.0)
+    rng = np.random.default_rng(20)
+    u = np.concatenate([rng.uniform(-50.0, 50.0, size=1_000_000),
+                        [0.0, -0.0, 5e-324, np.pi, -np.pi, 0.5 * np.pi]])
+    assert np.max(np.abs(problem.Gp(u) - np.sin(u))) <= 3 * 2.0**-52
+    assert np.max(np.abs(problem.G(u) - (1.0 - np.cos(u)))) <= 3 * 2.0**-52
+
+
+def test_sine_gordon_kernels_keep_zero_and_warn_about_nothing():
+    entry = get_entry("sg1d")
+    problem = entry.make_problem(entry.make_grid(8), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gp = problem.Gp(np.array([0.0, -0.0]))
+        g = problem.G(np.array([0.0, -0.0]))
+    assert gp.tolist() == [0.0, 0.0] and np.signbit(gp).tolist() == [False, True]
+    assert g.tolist() == [0.0, 0.0]
+
+
+def test_sg2d_ring_esavs_agrees_with_the_libm_pair():
+    entry = get_entry("sg2d_ring")
+    grid = entry.make_grid(64)
+    problem = entry.make_problem(grid, entry.default_c0)
+    libm = dataclasses.replace(problem, G=lambda u: 1.0 - np.cos(u), Gp=np.sin)
+    tables = build_kg_tables(grid, fd_laplacian_eigenvalues(grid), 1.0, entry.default_tau)
+    states = []
+    for p in (problem, libm):
+        state = kg_init(p)
+        for _ in range(100):
+            state = kg_step(state, tables, p)
+        states.append(state)
+    fast, slow = states
+    np.testing.assert_allclose(fast.u.values, slow.u.values, rtol=0.0, atol=1e-12)
+    assert fast.q == pytest.approx(slow.q, rel=0.0, abs=1e-12)
 
 
 def test_init_rejects_nonpositive_radicand():

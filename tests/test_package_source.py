@@ -38,3 +38,22 @@ def test_no_pow_with_a_constant_exponent_other_than_two():
             if value != 2:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_sin_and_cos_only_in_set_up_code():
+    # numpy runs float64 sin and cos through scalar libm, while its tan is
+    # vectorized: per-step kernels take the half-angle tangent (catalog.py).
+    # tables.py and grids.py are set-up code, building tables and symbols once
+    # per run; tables.sin_over_x, pinned to an ulp of its series, also serves
+    # the eavfs sine chord mean.
+    set_up = {"tables.py", "grids.py"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in set_up:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            # a call np.sin(u) or a reference such as Gp=np.sin
+            if (isinstance(node, ast.Attribute) and node.attr in ("sin", "cos")
+                    and isinstance(node.value, ast.Name) and node.value.id == "np"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -315,6 +315,7 @@ def test_cli_missing_problem_is_one_config_error(argv, tmp_path, monkeypatch, ca
     ("--cadence", "cadence", "2.5", "invalid literal for int() with base 10: '2.5'"),
     ("--scheme", "scheme", "rk4", "must be one of esavs, eavfs"),
     ("--scheme", "scheme", "", "must be one of esavs, eavfs"),
+    ("--out", "out", "", "must name a directory"),
 ])
 def test_cli_bad_value_fails_alike_as_flag_and_manifest_line(flag, key, text, message,
                                                               tmp_path, monkeypatch, capsys):
@@ -327,6 +328,17 @@ def test_cli_bad_value_fails_alike_as_flag_and_manifest_line(flag, key, text, me
     Path("run.cfg").write_text(f"problem = sg1d\n{key} = {text}\n")
     assert main(["run", "--config", "run.cfg"]) == 3
     assert capsys.readouterr() == ("", line)
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]  # no run.csv anywhere
+
+
+def test_cli_all_blank_out_writes_nothing(tmp_path, monkeypatch, capsys):
+    # a manifest strips its values, so only a flag can carry blanks
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--problem", "sg1d", "--n", "16", "--tau", "0.1", "--t-end", "0.1",
+                 "--out", "   "]) == 3
+    assert capsys.readouterr() == (
+        "", "expsav: config error: out = '   ': must name a directory\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flags,manifest,code,err,files", [
@@ -505,8 +517,8 @@ def test_cli_nonfinite_initial_radicand_is_a_config_error(problem, c0, capsys):
     (["--t-end", "nan"], "", "t_end"),
     (["--t-end", "inf"], "", "t_end"),
     (["--tau", "1e-320"], "", "t_end / tau"),
-    ([], "fp_tol = nan\n", "tol"),
-    ([], "fp_tol = inf\n", "tol"),
+    ([], "fp_tol = nan\n", "fp_tol = nan:"),
+    ([], "fp_tol = inf\n", "fp_tol = inf:"),
 ])
 def test_cli_nonfinite_step_horizon_or_tolerance_is_a_config_error(flags, manifest, field,
                                                                    tmp_path, capsys):
@@ -539,6 +551,19 @@ def test_cli_divergence_same_under_optimize():
         proc = _python("-O", "-m", "expsav.cli", *argv)
         assert proc.returncode == 2
         assert proc.stderr == message
+
+
+@pytest.mark.parametrize("manifest,line", [
+    ("fp_max_iters = 0\n", "expsav: config error: fp_max_iters = 0: must be >= 1\n"),
+    ("fp_tol = nan\n", "expsav: config error: fp_tol = nan: must be positive and finite\n"),
+])
+def test_cli_fixed_point_settings_fail_under_their_keys(manifest, line, tmp_path):
+    # ProblemSpec checks them under the names a user types, and not with asserts
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = sg1d\nscheme = eavfs\nn = 16\ntau = 0.1\nt_end = 0.2\n" + manifest)
+    for flags in ([], ["-O"]):
+        proc = _python(*flags, "-m", "expsav.cli", "run", "--config", str(cfg))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", line)
 
 
 # the CLI, with sg1d registered once more as "nochord1d", its chord mean taken away
