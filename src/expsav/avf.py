@@ -15,11 +15,20 @@ to machine precision, which is what makes the baseline conserve its own
 discrete (unmodified) energy. Each closed form is one elementwise pass and
 keeps its digits on short chords, where a quotient of differences would
 lose them and keep the iteration from reaching tol. Both implicit updates
-share one fixed-point loop. It iterates from u^n until the sup-norm
-increment, or the estimated distance theta/(1-theta)*increment to the fixed
-point (theta the ratio of consecutive increments, Hairer & Wanner II, IV.8),
-drops below cfg.tol, and stops with SolverError at the first non-finite
-increment or at the iteration cap.
+share one fixed-point loop. It iterates until the sup-norm increment, or the
+estimated distance theta/(1-theta)*increment to the fixed point (theta the
+larger of the last two ratios of consecutive increments, Hairer & Wanner II,
+IV.8), drops below cfg.tol, and stops with SolverError at the first
+non-finite increment or at the iteration cap.
+
+Each iteration adds a correction c to the linear flow, u' = zu - tau c
+(wave) or u' = eu + i beta tau c (Schroedinger). A step keeps its last c on
+the state it returns, with the c the previous step kept, and the next step
+starts its iteration from the linear flow plus the extrapolated correction
+2 c_n - c_{n-1} (Hairer, Lubich & Wanner, Geometric Numerical Integration,
+VIII.6), or c_n after one eavfs step. A state that keeps none (an initial
+state, one built from physical fields, or one an esavs step made) starts
+from u^n. The start moves the result only within the stopping tolerance.
 
 The linear flow acts on the state's spectra, and u' keeps the spectrum of
 its last iteration. One inverse starts the iteration and each iteration
@@ -73,24 +82,45 @@ def avf_gradient_nls(u_old: np.ndarray, u_new: np.ndarray) -> np.ndarray:
 
 
 def _fixed_point(update, u0: np.ndarray,
-                 cfg: FixedPointConfig) -> tuple[np.ndarray, np.ndarray, int]:
-    """Iterate u <- update(u) from u0; returns (converged iterate, its correction
-    spectrum, iteration count). update(u) returns the next iterate and the spectrum
-    of the correction it added to the linear flow; a stepper forms u's spectrum
-    from those of the last call, unmixed."""
-    u_iter, prev = u0, math.nan  # no ratio at iteration 1: theta is nan, never < 1
+                 cfg: FixedPointConfig) -> tuple[np.ndarray, object, int]:
+    """Iterate u <- update(u) from u0; returns (converged iterate, its correction,
+    iteration count). update(u) returns the next iterate and the correction it
+    added to the linear flow; a stepper forms u's spectrum from the last one,
+    unmixed.
+
+    theta is the larger of the last two increment ratios: ratios that alternate
+    (as they do on nls2d_planewave) make the last one alone underestimate the
+    distance to the fixed point."""
+    # no ratio at iteration 1: theta is nan, never < 1 (max keeps a nan first
+    # argument and drops a nan second one, so iteration 2 sees its own ratio)
+    u_iter, prev, last = u0, math.nan, math.nan
     for it in range(1, cfg.max_iters + 1):
         u_next, fcorr = update(u_iter)
         incr = float(np.max(np.abs(u_next - u_iter)))
         if not math.isfinite(incr):
             raise SolverError(f"fixed point diverged at iteration {it}")
         u_iter = u_next
-        theta = incr / prev  # observed contraction ratio
+        ratio = incr / prev  # observed contraction ratio
+        theta = max(ratio, last)
         if incr < cfg.tol or (theta < 1.0 and theta / (1.0 - theta) * incr < cfg.tol):
             return u_iter, fcorr, it
-        prev = incr
+        prev, last = incr, ratio
     raise SolverError(
         f"fixed point stalled at increment {incr:g} after {cfg.max_iters} iterations")
+
+
+def _warm_start(state, base: np.ndarray, scale: complex) -> np.ndarray:
+    """u0 of a step's fixed point: base + scale (2 c_n - c_{n-1}) from the
+    corrections the state keeps, base + scale c_n from one, u^n from none."""
+    kept = getattr(state, "_corrections", ())
+    if not kept:
+        return state.u.values
+    return base + scale * (kept[0] if len(kept) == 1 else 2.0 * kept[0] - kept[1])
+
+
+def _keep_correction(new, state, corr: np.ndarray):
+    """new, keeping this step's correction and the one state kept before it."""
+    return new._keep(_corrections=(corr,) + getattr(state, "_corrections", ())[:1])
 
 
 @np.errstate(all="ignore")
@@ -111,16 +141,18 @@ def eavf_step_kg(state: KgState, tables: ExpPhiTables, problem: KgProblem,
     # roundoff scales with that term, not with |zu|, near the 1e-14 stop
     def update(u_iter):
         fcorr = tables.p12 * forward_values(avf_gradient_kg(problem, u, u_iter), grid)
-        return zu - tau * real_part(inverse_values(fcorr, grid)), fcorr
+        corr = real_part(inverse_values(fcorr, grid))
+        return zu - tau * corr, (fcorr, corr)
 
-    u_new, fcorr, it = _fixed_point(update, u, cfg)
+    u_new, (fcorr, corr), it = _fixed_point(update, _warm_start(state, zu, -tau), cfg)
     ffb = forward_values(avf_gradient_kg(problem, u, u_new), grid)
     fv_new = fzv - tau * (tables.p11 * ffb)
 
     # q is not evolved by this scheme; keep it consistent with its definition
     radicand = grid.cell * float(np.sum(problem.G(u_new))) + problem.C0
-    return state.advance(tau, u_new, np.sqrt(radicand), u_spectrum=fzu - tau * fcorr,
-                         v_spectrum=fv_new), it
+    new = state.advance(tau, u_new, np.sqrt(radicand), u_spectrum=fzu - tau * fcorr,
+                        v_spectrum=fv_new)
+    return _keep_correction(new, state, corr), it
 
 
 @np.errstate(all="ignore")
@@ -139,9 +171,10 @@ def eavf_step_nls(state: NlsState, tables: NlsTables, problem: NlsProblem,
 
     def update(u_iter):
         fcorr = tables.sigma * forward_values(avf_gradient_nls(u, u_iter), grid)
-        return eu + coeff * inverse_values(fcorr, grid), fcorr
+        corr = inverse_values(fcorr, grid)
+        return eu + coeff * corr, (fcorr, corr)
 
-    u_new, fcorr, it = _fixed_point(update, u, cfg)
+    u_new, (fcorr, corr), it = _fixed_point(update, _warm_start(state, eu, coeff), cfg)
     radicand = quartic_sum(u_new, grid) + problem.C0
-    return state.advance(tau, u_new, np.sqrt(radicand),
-                         u_spectrum=feu + coeff * fcorr), it
+    new = state.advance(tau, u_new, np.sqrt(radicand), u_spectrum=feu + coeff * fcorr)
+    return _keep_correction(new, state, corr), it

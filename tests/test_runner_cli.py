@@ -471,7 +471,8 @@ def test_csv_headers_match_the_readme(tmp_path, capsys):
 
 # ---------------------------------------------------------------- failure paths
 
-# a step far beyond the stable range: the eavfs fixed point blows up
+# a step far beyond the stable range: the eavfs fixed point blows up in step 1,
+# which starts from u^0, so the warm start of later steps cannot move the message
 DIVERGING_EAVFS = ["run", "--problem", "kg2d_cubic", "--tau", "4", "--t-end", "40",
                    "--n", "16", "--scheme", "eavfs"]
 DIVERGED_MSG = "expsav: solver failure: fixed point diverged at iteration 9\n"

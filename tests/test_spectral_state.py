@@ -3,7 +3,9 @@
 A stepper passes on the spectra it forms, and a state forms the side it was
 not given on first read. These tests pin that both sides agree, that the
 energies read the spectra with no transform, and that a state built from
-physical fields steps as one that carries spectra.
+physical fields steps as one that carries spectra. An eavfs step keeps its
+fixed point's last correction for the next step's warm start; a state that
+keeps none starts the iteration from its own u.
 """
 
 import dataclasses
@@ -11,13 +13,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from expsav import avf
 from expsav.avf import FixedPointConfig, eavf_step_kg, eavf_step_nls
 from expsav.catalog import get_entry
 from expsav.fourier import apply_multipliers, forward_values, inverse_values, real_part
 from expsav.grids import (ComplexField, Field, GridSpec, State, fd_laplacian_eigenvalues,
                           make_grid, spectral_laplacian_eigenvalues)
-from expsav.kg import KgState, kg_modified_energy, kg_original_energy, kg_step
-from expsav.nls import NlsProblem, nls_hamiltonian, nls_modified_energy, nls_step
+from expsav.kg import KgState, kg_init, kg_modified_energy, kg_original_energy, kg_step
+from expsav.nls import NlsProblem, nls_hamiltonian, nls_init, nls_modified_energy, nls_step
 from expsav.tables import build_kg_tables, build_nls_tables
 
 from oracles import forward_diff_norm, norm_l2
@@ -143,15 +146,65 @@ def test_energies_make_no_transform_on_a_stepped_state(scheme, transforms):
 def test_eavfs_step_makes_two_transforms_per_iteration_and_two_more(scheme, transforms):
     # one inverse starts the iteration and a forward/inverse pair per iteration;
     # the wave step makes one forward more, the chord average for v', while u'
-    # keeps the spectrum of its last iteration in both steps
-    problem, tables, state, _ = stepped(scheme, LAYOUTS[2], 1)
+    # keeps the spectrum of its last iteration in both steps. After 0, 1 and 2
+    # eavfs steps the iteration starts at u^n, from c_n and from 2 c_n - c_{n-1}:
+    # the warm start makes no transform.
     step = eavf_step_kg if scheme == "eavfs-wave" else eavf_step_nls
-    transforms.clear()
-    _, iters = step(state, tables, problem, CFG)
     real = scheme == "eavfs-wave"
-    assert iters >= 2
-    assert sorted(transforms) == ([("forward", real)] * (iters + real)
-                                  + [("inverse", real)] * (iters + 1))
+    for eavfs_steps in (0, 1, 2):
+        problem, tables, state, _ = stepped(scheme, LAYOUTS[2], eavfs_steps)
+        # the hand-built state at 0 steps forms its spectra before the count
+        state.u_spectrum, getattr(state, "v_spectrum", None)
+        transforms.clear()
+        _, iters = step(state, tables, problem, CFG)
+        assert iters >= 2
+        assert sorted(transforms) == ([("forward", real)] * (iters + real)
+                                      + [("inverse", real)] * (iters + 1))
+
+
+def catalog_start(problem_id):
+    entry = get_entry(problem_id)
+    grid = entry.make_grid(16)
+    problem = entry.make_problem(grid, 1.0)
+    lam = entry.laplacian_eigenvalues(grid)
+    if entry.kind == "wave":
+        return problem, build_kg_tables(grid, lam, problem.omega, entry.default_tau), \
+            kg_init(problem)
+    return problem, build_nls_tables(grid, lam, entry.default_tau), nls_init(problem)
+
+
+def after_eavfs(scheme, then):
+    """The state two eavfs steps leave, passed through then(state, tables, problem)."""
+    problem, tables, state, _ = stepped(scheme, LAYOUTS[2], 2)
+    return problem, tables, then(state, tables, problem)
+
+
+COLD_STARTS = {
+    "kg_init": lambda: catalog_start("sg1d"),
+    "nls_init": lambda: catalog_start("nls1d_soliton"),
+    "physical_copy-wave": lambda: after_eavfs("eavfs-wave", lambda st, *_: physical_copy(st)),
+    "physical_copy-nls": lambda: after_eavfs("eavfs-nls", lambda st, *_: physical_copy(st)),
+    "esavs-wave": lambda: after_eavfs("eavfs-wave", kg_step),
+    "esavs-nls": lambda: after_eavfs("eavfs-nls", nls_step),
+}
+
+
+@pytest.mark.parametrize("start", COLD_STARTS)
+def test_eavfs_step_from_a_state_without_corrections_starts_at_its_u(start, monkeypatch):
+    problem, tables, state = COLD_STARTS[start]()
+    solve, starts = avf._fixed_point, []
+
+    def spy(update, u0, cfg):
+        starts.append(u0)
+        return solve(update, u0, cfg)
+
+    monkeypatch.setattr(avf, "_fixed_point", spy)
+    step = eavf_step_kg if isinstance(state, KgState) else eavf_step_nls
+    new, _ = step(state, tables, problem, CFG)
+    assert len(starts) == 1 and starts[0] is state.u.values
+    # the step it made keeps a correction, so the next one starts warm
+    step(new, tables, problem, CFG)
+    assert not np.array_equal(starts[1], new.u.values)
 
 
 def test_state_forms_each_spectrum_once(transforms):
