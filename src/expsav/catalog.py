@@ -63,10 +63,15 @@ class CatalogEntry:
 # faster per pass on an AVX-512 host, by argument range). Both kernels stay
 # within 2 ulp(1) of libm.
 
-def _sine(u):
-    """sin u = 2t/(1 + t^2), t = tan(u/2); the sign of zero is kept."""
+def _half_tangent(u):
     t = np.multiply(u, 0.5)
     np.tan(t, out=t)
+    return t
+
+
+def _sine(u):
+    """sin u = 2t/(1 + t^2), t = tan(u/2); the sign of zero is kept."""
+    t = _half_tangent(u)
     denom = t * t
     denom += 1.0
     t += t
@@ -76,13 +81,27 @@ def _sine(u):
 
 def _versine(u):
     """1 - cos u = 2t^2/(1 + t^2), t = tan(u/2): no cancellation near u = 0."""
-    t = np.multiply(u, 0.5)
-    np.tan(t, out=t)
+    t = _half_tangent(u)
     t *= t
     denom = t + 1.0
     t += t
     t /= denom
     return t
+
+
+def _versine_sum_and_sine(u):
+    """(sum of 1 - cos u, sin u) from one t = tan(u/2), for the SAV step.
+
+    sin u is 2 (t/(1 + t^2)), bitwise _sine's 2t/(1 + t^2) since doubling is
+    exact; 1 - cos u = t sin u, so the sum is one dot product and no versine
+    array is formed. Each term is within a few ulp of _versine's, and >= 0.
+    """
+    t = _half_tangent(u)
+    sine = t * t
+    sine += 1.0
+    np.divide(t, sine, out=sine)
+    sine += sine
+    return float(np.einsum("i,i", t, sine)), sine
 
 
 def _sine_chord_mean(a, b):
@@ -94,7 +113,8 @@ def _sine_gordon(phi1: Callable, phi2: Callable) -> Callable[[GridSpec, float], 
     """Problem factory for u_tt = Lap(u) - sin(u) with u = phi1, u_t = phi2 at t = 0."""
     def make(grid: GridSpec, c0: float) -> KgProblem:
         return KgProblem(grid=grid, omega=1.0, G=_versine, Gp=_sine,
-                         phi1=phi1, phi2=phi2, C0=c0, chord_mean=_sine_chord_mean)
+                         phi1=phi1, phi2=phi2, C0=c0, chord_mean=_sine_chord_mean,
+                         sum_G_and_Gp=_versine_sum_and_sine)
     return make
 
 

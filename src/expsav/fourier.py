@@ -81,10 +81,13 @@ def half_inner(a_hat: np.ndarray, b_hat: np.ndarray, grid: GridSpec) -> float:
     the first and last columns of the last axis (wavenumbers 0 and n/2,
     which have no conjugate partner) and 2 elsewhere.
     """
-    m = _half_shape(grid)[-1]
-    a2, b2 = a_hat.reshape(-1, m), b_hat.reshape(-1, m)
-    total = (2.0 * np.vdot(b2, a2).real - np.vdot(b2[:, 0], a2[:, 0]).real
-             - np.vdot(b2[:, -1], a2[:, -1]).real)
+    # Re(A conj(B)) = A.re B.re + A.im B.im: a dot of the interleaved float64
+    # views, summed by einsum rather than BLAS, whose threaded sum order (and
+    # so the last bits) would depend on the thread count
+    m2 = 2 * _half_shape(grid)[-1]
+    a2, b2 = a_hat.view(np.float64).reshape(-1, m2), b_hat.view(np.float64).reshape(-1, m2)
+    total = (2.0 * np.einsum("ij,ij", a2, b2) - np.einsum("ij,ij", a2[:, :2], b2[:, :2])
+             - np.einsum("ij,ij", a2[:, -2:], b2[:, -2:]))
     return grid.cell * float(total) / grid.size
 
 

@@ -146,7 +146,9 @@ class State:
         """Extrapolated half-step value (3 u^n - u^{n-1})/2; u^0 boots the first step."""
         if self.u_prev is None:
             return self.u.values
-        return 1.5 * self.u.values - 0.5 * self.u_prev.values
+        uhat = np.multiply(self.u.values, 1.5)
+        uhat -= 0.5 * self.u_prev.values
+        return uhat
 
     def advance(self, tau: float, u: np.ndarray, q: float, u_spectrum: np.ndarray | None = None,
                 **fields: np.ndarray) -> State:

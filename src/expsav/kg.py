@@ -24,6 +24,14 @@ the linear flow is a product: a step transforms w forward, takes
 FFTs and one scalar division. v' stays a half spectrum. q' uses the
 physical <w, u' - u> rather than 2 q^{n+1/2} - q, which keeps the energy
 drift at roundoff.
+
+The nonlinearity is one call at the predictor when KgProblem.sum_G_and_Gp
+gives <G(uhat), 1> and w together (the catalog's sine-Gordon pair, from one
+tan(uhat/2)); otherwise G and Gp are called in turn. The spectral updates
+reuse the step's own temporaries: u' is formed in the buffer of phi12 w,
+v' accumulates in that of zv. Every reduction is an einsum, not a BLAS dot,
+whose threaded sum order would make the last bits depend on the BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -49,6 +57,9 @@ class KgProblem:
     chord_mean(a, b) is the closed form of the mean of Gp along the chord
     from a to b, (G(b) - G(a))/(b - a), and equals Gp(a) at a = b. The
     implicit baseline (eavfs) requires it; the SAV step ignores it.
+    sum_G_and_Gp(u), if set, returns (sum of G(u), Gp(u)) at flat node values
+    u from one pass and must not write into u; the SAV step then calls it
+    instead of G and Gp.
     """
 
     grid: GridSpec
@@ -59,6 +70,7 @@ class KgProblem:
     phi2: Callable
     C0: float = 0.0
     chord_mean: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    sum_G_and_Gp: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None
 
 
 class KgState(State):
@@ -101,7 +113,11 @@ def linear_flow(fu: np.ndarray, fv: np.ndarray,
                 tables: ExpPhiTables) -> tuple[np.ndarray, np.ndarray]:
     """Half spectra of the exact flow exp(V)(u, v) of the linear wave system over
     one step, from the half spectra of u and v."""
-    return tables.e11 * fu + tables.e12 * fv, tables.e21 * fu + tables.e11 * fv
+    zu = tables.e11 * fu
+    zu += tables.e12 * fv
+    zv = tables.e21 * fu
+    zv += tables.e11 * fv
+    return zu, zv
 
 
 @np.errstate(all="ignore")
@@ -115,10 +131,12 @@ def kg_step(state: KgState, tables: ExpPhiTables, problem: KgProblem) -> KgState
     u, q = state.u.values, state.q
 
     uhat = state.predictor()
-    s2 = require_positive(cell * float(np.sum(problem.G(uhat))) + problem.C0,
-                          "<G(uhat), 1> + C0")
+    if problem.sum_G_and_Gp is not None:
+        sum_g, w = problem.sum_G_and_Gp(uhat)
+    else:
+        sum_g, w = float(np.sum(problem.G(uhat))), problem.Gp(uhat)
+    s2 = require_positive(cell * sum_g + problem.C0, "<G(uhat), 1> + C0")
     s = np.sqrt(s2)
-    w = problem.Gp(uhat)
 
     fw = forward_values(w, grid)
     fzu, fzv = linear_flow(state.u_spectrum, state.v_spectrum, tables)
@@ -127,15 +145,20 @@ def kg_step(state: KgState, tables: ExpPhiTables, problem: KgProblem) -> KgState
     # the one scalar equation for q^{n+1/2}, its inner products by Parseval
     w_phi12_w = half_inner(fw, fphi12_w, grid)
     denom = require_positive(1.0 + tau / (4.0 * s2) * w_phi12_w, "scalar-solve denominator")
-    w_zu_u = half_inner(fw, fzu, grid) - cell * float(w @ u)
+    w_zu_u = half_inner(fw, fzu, grid) - cell * float(np.einsum("i,i", w, u))
     q_half = (q + w_zu_u / (4.0 * s)) / denom
 
-    fu_new = fzu - (tau * q_half / s) * fphi12_w
+    # u' = zu - (tau q^{n+1/2} / s) phi12 w, formed in phi12 w's buffer
+    fphi12_w *= tau * q_half / s
+    fu_new = np.subtract(fzu, fphi12_w, out=fphi12_w)
     u_new = real_part(inverse_values(fu_new, grid))
-    q_new = q + cell * float(w @ (u_new - u)) / (2.0 * s)
+    q_new = q + cell * float(np.einsum("i,i", w, u_new - u)) / (2.0 * s)
     beta = tau * 0.5 * (q + q_new) / s
-    fv_new = fzv - beta * (tables.p11 * fw)
-    return state.advance(tau, u_new, q_new, u_spectrum=fu_new, v_spectrum=fv_new)
+    # v' = zv - beta phi11 w, accumulated in zv; w's spectrum is not read again
+    fw *= tables.p11
+    fw *= beta
+    fzv -= fw
+    return state.advance(tau, u_new, q_new, u_spectrum=fu_new, v_spectrum=fzv)
 
 
 @lru_cache(maxsize=16)

@@ -81,15 +81,35 @@ def test_sech_is_bitwise_the_out_of_place_formula():
 
 # ---------------------------------------------------------------- sine-Gordon kernels
 
+def kernel_sample():
+    rng = np.random.default_rng(20)
+    return np.concatenate([rng.uniform(-50.0, 50.0, size=1_000_000),
+                           [0.0, -0.0, 5e-324, np.pi, -np.pi, 0.5 * np.pi]])
+
+
 def test_sine_gordon_kernels_match_libm():
     # the half-angle kernels against libm, in absolute terms: within 3 ulp(1)
     entry = get_entry("sg1d")
     problem = entry.make_problem(entry.make_grid(8), 1.0)
-    rng = np.random.default_rng(20)
-    u = np.concatenate([rng.uniform(-50.0, 50.0, size=1_000_000),
-                        [0.0, -0.0, 5e-324, np.pi, -np.pi, 0.5 * np.pi]])
+    u = kernel_sample()
     assert np.max(np.abs(problem.Gp(u) - np.sin(u))) <= 3 * 2.0**-52
     assert np.max(np.abs(problem.G(u) - (1.0 - np.cos(u)))) <= 3 * 2.0**-52
+
+
+def test_sine_gordon_pair_is_the_kernels_from_one_tangent():
+    entry = get_entry("sg1d")
+    problem = entry.make_problem(entry.make_grid(8), 1.0)
+    u = kernel_sample()
+    u_before = u.copy()
+    total, gp = problem.sum_G_and_Gp(u)
+    np.testing.assert_array_equal(u, u_before)
+    np.testing.assert_array_equal(gp.view(np.int64), problem.Gp(u).view(np.int64))
+    # its terms t * sin u are 2t^2/(1 + t^2) rounded another way: within
+    # 3 ulp(1) of G's each, which over 1e6 terms of mean ~1 and the sum's
+    # own rounding stays far inside rel 1e-13 (3.5e-16 on this sample)
+    assert np.max(np.abs(np.tan(0.5 * u) * gp - problem.G(u))) <= 3 * 2.0**-52
+    assert total >= 0.0
+    assert total == pytest.approx(np.sum(problem.G(u)), rel=1e-13, abs=0.0)
 
 
 def test_sine_gordon_kernels_keep_zero_and_warn_about_nothing():
@@ -107,7 +127,9 @@ def test_sg2d_ring_esavs_agrees_with_the_libm_pair():
     entry = get_entry("sg2d_ring")
     grid = entry.make_grid(64)
     problem = entry.make_problem(grid, entry.default_c0)
-    libm = dataclasses.replace(problem, G=lambda u: 1.0 - np.cos(u), Gp=np.sin)
+    # the step takes the pair field, not G and Gp: clear it, or both runs are the tangent's
+    libm = dataclasses.replace(problem, G=lambda u: 1.0 - np.cos(u), Gp=np.sin,
+                               sum_G_and_Gp=None)
     tables = build_kg_tables(grid, fd_laplacian_eigenvalues(grid), 1.0, entry.default_tau)
     states = []
     for p in (problem, libm):
@@ -230,6 +252,67 @@ def test_first_step_bootstraps_with_u0():
     u_ref, v_ref, q_ref = oracles.dense_kg_step(state, problem, 1.0, 0.02)
     np.testing.assert_allclose(new.u.values, u_ref, atol=1e-11)
     assert new.u_prev is state.u
+
+
+def test_step_with_the_pair_matches_dense_oracle():
+    # the catalog pair against the oracle's G and Gp, and the same problem without it
+    entry = get_entry("sg1d")
+    grid = make_grid(-1.0, 1.0, 8, 1)
+    tau = 0.05
+    tables = build_kg_tables(grid, fd_laplacian_eigenvalues(grid), 1.0, tau)
+    paired = entry.make_problem(grid, 1.0)
+    assert paired.sum_G_and_Gp is not None
+    state = random_state(paired, np.random.default_rng(31), tau)
+    u_ref, v_ref, q_ref = oracles.dense_kg_step(state, paired, 1.0, tau)
+    for problem in (paired, dataclasses.replace(paired, sum_G_and_Gp=None)):
+        new = kg_step(state, tables, problem)
+        np.testing.assert_allclose(new.u.values, u_ref, atol=1e-11)
+        np.testing.assert_allclose(new.v.values, v_ref, atol=1e-11)
+        assert new.q == pytest.approx(q_ref, abs=1e-11)
+
+
+def test_step_evaluates_the_pair_once_and_neither_kernel():
+    entry = get_entry("sg2d_ring")
+    grid = entry.make_grid(16)
+    problem = entry.make_problem(grid, 0.0)
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    counting = dataclasses.replace(problem, G=counted("G", problem.G),
+                                   Gp=counted("Gp", problem.Gp),
+                                   sum_G_and_Gp=counted("pair", problem.sum_G_and_Gp))
+    tables = build_kg_tables(grid, fd_laplacian_eigenvalues(grid), 1.0, entry.default_tau)
+    state = kg_init(problem)
+    for _ in range(3):
+        state = kg_step(state, tables, counting)
+    assert calls == ["pair"] * 3
+
+
+@pytest.mark.parametrize("steps_before", [0, 2])
+def test_step_leaves_the_input_state_unchanged(steps_before):
+    # at n = 0 the predictor is u itself, so neither the pair nor the
+    # in-place spectral updates may write into what the state holds
+    entry = get_entry("sg2d_ring")
+    grid = entry.make_grid(16)
+    problem = entry.make_problem(grid, 0.0)
+    tables = build_kg_tables(grid, fd_laplacian_eigenvalues(grid), 1.0, entry.default_tau)
+    state = kg_init(problem)
+    for _ in range(steps_before):
+        state = kg_step(state, tables, problem)
+    held = {"u": state.u.values, "u_spectrum": state.u_spectrum,
+            "v_spectrum": state.v_spectrum}
+    if state.u_prev is not None:
+        held["u_prev"] = state.u_prev.values
+    before = {name: values.copy() for name, values in held.items()}
+    kg_step(state, tables, problem)
+    for name, values in held.items():
+        np.testing.assert_array_equal(values.view(np.int64), before[name].view(np.int64),
+                                      err_msg=name)
 
 
 def test_step_rejects_foreign_tables():

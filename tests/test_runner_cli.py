@@ -537,13 +537,40 @@ def test_cli_unwritable_out_is_an_io_failure(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("expsav: i/o failure:")
 
 
-def _python(*args):
-    """Run the interpreter on this checkout's package; returns the finished process."""
+def _python(*args, **env_vars):
+    """Run the interpreter on this checkout's package, with env_vars set in its
+    environment; returns the finished process."""
     src = str(Path(expsav.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **env_vars, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
                           timeout=60)
+
+
+WAVE_2D_RUNS = """
+import sys
+from expsav.cli import main
+for problem in ("sg2d_ring", "kg2d_cubic"):
+    for scheme in ("esavs", "eavfs"):
+        code = main(["run", "--problem", problem, "--scheme", scheme, "--n", "200",
+                     "--t-end", "0.5", "--cadence", "1",
+                     "--out", f"{sys.argv[1]}/{problem}-{scheme}"])
+        if code:
+            sys.exit(code)
+"""
+
+
+def test_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at n = 200 a BLAS dot is long enough for OpenBLAS to thread it, and its
+    # sum order, so its last bits, would follow the thread count
+    csv = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = _python("-c", WAVE_2D_RUNS, str(out), OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        csv[threads] = {run.name: (run / "run.csv").read_bytes() for run in out.iterdir()}
+    assert len(csv["1"]) == 4
+    assert csv["1"] == csv["2"]
 
 
 def test_cli_divergence_same_under_optimize():
