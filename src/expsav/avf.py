@@ -22,10 +22,10 @@ IV.8), drops below cfg.tol, and stops with SolverError at the first
 non-finite increment or at the iteration cap.
 
 Each iteration adds a correction c to the linear flow, u' = zu - tau c
-(wave) or u' = eu + i beta tau c (Schroedinger). A step keeps its last c on
-the state it returns, with the c the previous step kept, and the next step
-starts its iteration from the linear flow plus the extrapolated correction
-2 c_n - c_{n-1} (Hairer, Lubich & Wanner, Geometric Numerical Integration,
+(wave) or u' = eu + i beta tau c (Schroedinger). A step keeps its last c in
+State.corrections of the state it returns, with the c the previous step
+kept, and the next step starts its iteration from the linear flow plus the
+extrapolated correction 2 c_n - c_{n-1} (Hairer, Lubich & Wanner, Geometric Numerical Integration,
 VIII.6), or c_n after one eavfs step. A state that keeps none (an initial
 state, one built from physical fields, or one an esavs step made) starts
 from u^n. The start moves the result only within the stopping tolerance.
@@ -68,6 +68,7 @@ class FixedPointConfig:
             raise ValueError("max_iters must be >= 1")
 
 
+# a name of its own because bench/tracer.py times it as avf.gradient
 def avf_gradient_kg(problem: KgProblem, u_old: np.ndarray, u_new: np.ndarray) -> np.ndarray:
     """Mean of G' along the chord from u_old to u_new: the problem's closed form."""
     return problem.chord_mean(u_old, u_new)
@@ -112,15 +113,10 @@ def _fixed_point(update, u0: np.ndarray,
 def _warm_start(state, base: np.ndarray, scale: complex) -> np.ndarray:
     """u0 of a step's fixed point: base + scale (2 c_n - c_{n-1}) from the
     corrections the state keeps, base + scale c_n from one, u^n from none."""
-    kept = getattr(state, "_corrections", ())
+    kept = state.corrections
     if not kept:
         return state.u.values
     return base + scale * (kept[0] if len(kept) == 1 else 2.0 * kept[0] - kept[1])
-
-
-def _keep_correction(new, state, corr: np.ndarray):
-    """new, keeping this step's correction and the one state kept before it."""
-    return new._keep(_corrections=(corr,) + getattr(state, "_corrections", ())[:1])
 
 
 @np.errstate(all="ignore")
@@ -150,9 +146,8 @@ def eavf_step_kg(state: KgState, tables: ExpPhiTables, problem: KgProblem,
 
     # q is not evolved by this scheme; keep it consistent with its definition
     radicand = grid.cell * float(np.sum(problem.G(u_new))) + problem.C0
-    new = state.advance(tau, u_new, np.sqrt(radicand), u_spectrum=fzu - tau * fcorr,
-                        v_spectrum=fv_new)
-    return _keep_correction(new, state, corr), it
+    return state.advance(tau, u_new, np.sqrt(radicand), u_spectrum=fzu - tau * fcorr,
+                         corrections=(corr,) + state.corrections[:1], v_spectrum=fv_new), it
 
 
 @np.errstate(all="ignore")
@@ -176,5 +171,5 @@ def eavf_step_nls(state: NlsState, tables: NlsTables, problem: NlsProblem,
 
     u_new, (fcorr, corr), it = _fixed_point(update, _warm_start(state, eu, coeff), cfg)
     radicand = quartic_sum(u_new, grid) + problem.C0
-    new = state.advance(tau, u_new, np.sqrt(radicand), u_spectrum=feu + coeff * fcorr)
-    return _keep_correction(new, state, corr), it
+    return state.advance(tau, u_new, np.sqrt(radicand), u_spectrum=feu + coeff * fcorr,
+                         corrections=(corr,) + state.corrections[:1]), it

@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import ComplexField, Field
+from .grids import Field
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class RunRecord:
     iters: int | None = None
 
 
-def error_norms(u_num: Field | ComplexField, exact_at: Callable[[float], np.ndarray],
+def error_norms(u_num: Field, exact_at: Callable[[float], np.ndarray],
                 t: float) -> tuple[float, float]:
     """Discrete L2 and sup-norm errors against exact_at(t), the flat node values
     of the analytic solution at time t (what CatalogEntry.exact(grid) returns)."""

@@ -80,28 +80,21 @@ def make_grid(a: float, b: float, n: int, dim: int = 1) -> GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Real samples over a grid, flat in node order."""
+    """Samples over a grid, flat in node order: complex128 if complex, else float64."""
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64).ravel()
+        vals = np.asarray(self.values)
+        dtype = np.complex128 if vals.dtype.kind == "c" else np.float64
+        vals = vals.astype(dtype, copy=False).ravel()
         object.__setattr__(self, "values", vals)
         _check_values(vals, self.grid.size)
 
 
-@dataclass(frozen=True, eq=False)
-class ComplexField:
-    """Complex samples over a grid, flat in node order."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128).ravel()
-        object.__setattr__(self, "values", vals)
-        _check_values(vals, self.grid.size)
+# an alias kept only for bench/tracer.py, which patches its __post_init__
+ComplexField = Field
 
 
 def _check_values(vals: np.ndarray, size: int | None = None) -> np.ndarray:
@@ -121,13 +114,17 @@ class State:
 
     u_spectrum (the half spectrum if u is real) is the one a step passed on,
     or else u's transform, formed on first read; either way it is kept.
+    corrections holds the fixed-point corrections c of the last two eavfs
+    steps that led here, newest first, which warm-start the next eavfs step
+    (avf.py); any other step leaves it empty.
     """
 
-    u: Field | ComplexField
+    u: Field
     q: float
-    u_prev: Field | ComplexField | None
+    u_prev: Field | None
     n: int
     t: float
+    corrections: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
         if self.u_prev is None and self.n != 0:
@@ -151,27 +148,30 @@ class State:
         return uhat
 
     def advance(self, tau: float, u: np.ndarray, q: float, u_spectrum: np.ndarray | None = None,
-                **fields: np.ndarray) -> State:
-        """The state one step of size tau later, holding the step's u, q and other fields.
+                corrections: tuple[np.ndarray, ...] = (), **spectra: np.ndarray) -> State:
+        """The state one step of size tau later, holding the step's u, q, other
+        fields and corrections.
 
-        A field is given by its node values (v) or its spectrum (v_spectrum).
-        Every stepper returns through here, so this is where a step's result is
-        checked: a non-finite u, other field or q raises SolverError (u_spectrum
-        is the transform of the checked u). The steppers run under
-        np.errstate(all="ignore"): a failing step overflows on its way to their
-        guards or to these checks, and numpy's warnings would only repeat them.
+        Other fields are given by their spectra (v_spectrum), the form every
+        stepper has them in. Every stepper returns through here, so this is
+        where a step's result is checked: a non-finite u, other field or q
+        raises SolverError (u_spectrum is the transform of the checked u). The
+        steppers run under np.errstate(all="ignore"): a failing step overflows
+        on its way to their guards or to these checks, and numpy's warnings
+        would only repeat them.
         """
         n = self.n + 1
-        checked = {}
-        for name, values in {"u": u, **fields}.items():
-            try:
-                checked[name] = (_check_values(values) if name.endswith("_spectrum")
-                                 else type(self.u)(self.u.grid, values))
-            except ValueError as exc:
-                raise SolverError(f"step {n} yields an invalid {name}: {exc}") from exc
+        name = "u"
+        try:
+            u_new = Field(self.u.grid, u)
+            for name, values in spectra.items():
+                _check_values(values)
+        except ValueError as exc:
+            raise SolverError(f"step {n} yields an invalid {name}: {exc}") from exc
         if not math.isfinite(q):
             raise SolverError(f"step {n} yields a non-finite q ({q:g})")
-        new = type(self)(**checked, q=float(q), u_prev=self.u, n=n, t=n * tau)
+        new = type(self)(u=u_new, q=float(q), u_prev=self.u, n=n, t=n * tau,
+                         corrections=corrections, **spectra)
         return new._keep(u_spectrum=u_spectrum)
 
 

@@ -35,7 +35,7 @@ from . import fourier
 from .errors import SolverError, require_positive
 # unused here; kept only because bench/tracer.py patches nls.apply_multipliers
 from .fourier import apply_multipliers  # noqa: F401
-from .grids import ComplexField, GridSpec, State, sample, spectral_laplacian_eigenvalues
+from .grids import Field, GridSpec, State, sample, spectral_laplacian_eigenvalues
 from .tables import NlsTables
 
 # a closure denominator below this, relative to 1 + |Re<gamma, Phi gamma>|, is singular
@@ -77,7 +77,7 @@ def nls_init(problem: NlsProblem) -> NlsState:
         raise ValueError(
             f"<|u0|^4, 1> + C0 = {radicand:g} is not finite and positive; check C0"
         )
-    return NlsState(u=ComplexField(grid, u0), q=float(np.sqrt(radicand)),
+    return NlsState(u=Field(grid, u0), q=float(np.sqrt(radicand)),
                     u_prev=None, n=0, t=0.0)
 
 

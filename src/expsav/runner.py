@@ -28,7 +28,7 @@ from . import avf, kg, nls
 from .catalog import CatalogEntry, get_entry
 from .diagnostics import RunRecord, convergence_orders, error_norms
 from .errors import SolverError
-from .grids import ComplexField, Field, GridSpec
+from .grids import Field, GridSpec
 from .tables import build_kg_tables, build_nls_tables
 
 SCHEMES = ("esavs", "eavfs")
@@ -47,8 +47,8 @@ class ProblemSpec:
     cadence: int = 10               # record diagnostics every this many steps
     out: str | None = None
     snapshot_times: tuple[float, ...] = ()
-    fp_tol: float = 1e-14
-    fp_max_iters: int = 200
+    fp_tol: float = avf.FixedPointConfig.tol
+    fp_max_iters: int = avf.FixedPointConfig.max_iters
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -262,7 +262,7 @@ def write_run_csv(path: Path, records: list[RunRecord]):
     write_rows(path, records)
 
 
-def write_snapshot(path: Path, u: Field | ComplexField, t: float):
+def write_snapshot(path: Path, u: Field, t: float):
     """Self-describing binary dump of u; see the module docstring for the layout."""
     grid, payload = u.grid, u.values
     complex_payload = np.iscomplexobj(payload)
@@ -283,26 +283,6 @@ def write_snapshot(path: Path, u: Field | ComplexField, t: float):
     else:
         blob += payload.astype("<f8").tobytes()
     Path(path).write_bytes(blob)
-
-
-def read_snapshot(path: Path) -> tuple[dict, np.ndarray]:
-    """Inverse of write_snapshot; returns (header dict, flat values)."""
-    raw = Path(path).read_bytes()
-    header: dict[str, str] = {}
-    offset = 0
-    while True:
-        end = raw.index(b"\n", offset)
-        line = raw[offset:end].decode()
-        offset = end + 1
-        if line == "data":
-            break
-        key, _, value = line.partition(" ")
-        header[key] = value
-    flat = np.frombuffer(raw[offset:], dtype="<f8")
-    if header.get("components") == "2":
-        half = flat.size // 2
-        return header, flat[:half] + 1j * flat[half:]
-    return header, flat
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 import expsav as es
 from expsav.catalog import get_entry
 from expsav.fourier import apply_multipliers, forward_values, inverse_values
-from expsav.grids import ComplexField, Field
+from expsav.grids import Field
 from expsav.kg import KgState
 from expsav.nls import NlsState
 from expsav.runner import ProblemSpec, compare_driver, convergence_driver, run
@@ -157,8 +157,7 @@ def test_criterion_5_oracle_equivalence_schroedinger():
             u = rng.normal(size=8) + 1j * rng.normal(size=8)
             u_prev = u - tau * (rng.normal(size=8) + 1j * rng.normal(size=8))
             q = float(np.sqrt(grid.cell * np.sum(np.abs(u) ** 4) + 0.5))
-            state = NlsState(u=ComplexField(grid, u), q=q,
-                             u_prev=ComplexField(grid, u_prev), n=1, t=tau)
+            state = NlsState(u=Field(grid, u), q=q, u_prev=Field(grid, u_prev), n=1, t=tau)
             new = es.nls_step(state, tables, problem)
             u_ref, q_ref = oracles.dense_nls_step(state, problem, lam, tau)
             np.testing.assert_allclose(new.u.values, u_ref, atol=1e-11)
@@ -180,7 +179,7 @@ def test_criterion_7_invariant_suite():
         rng = np.random.default_rng(99)
         # DFT roundtrip and Parseval
         g = es.make_grid(-2.0, 2.0, 64, 1)
-        u = ComplexField(g, rng.normal(size=64) + 1j * rng.normal(size=64))
+        u = Field(g, rng.normal(size=64) + 1j * rng.normal(size=64))
         back = inverse_values(forward_values(u.values, g), g)
         np.testing.assert_allclose(back, u.values, atol=1e-13)
         mode_sq = g.cell * np.sum(np.abs(forward_values(u.values, g)) ** 2) / g.size

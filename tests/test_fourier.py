@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expsav.fourier import apply_multipliers, forward_values, half_inner, inverse_values
-from expsav.grids import (ComplexField, GridSpec, fd_laplacian_eigenvalues, make_grid,
+from expsav.grids import (Field, GridSpec, fd_laplacian_eigenvalues, make_grid,
                           spectral_laplacian_eigenvalues)
 
 import oracles
@@ -69,7 +69,7 @@ def test_apply_spectral_on_sine():
 def test_parseval():
     rng = np.random.default_rng(6)
     g = make_grid(-2, 2, 32, 1)
-    u = ComplexField(g, rng.normal(size=32) + 1j * rng.normal(size=32))
+    u = Field(g, rng.normal(size=32) + 1j * rng.normal(size=32))
     node_sq = norm_l2(u) ** 2
     coeffs = forward_values(u.values, g)
     mode_sq = g.cell * np.sum(np.abs(coeffs) ** 2) / g.size

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expsav.errors import SolverError
-from expsav.grids import (ComplexField, Field, State, fd_laplacian_eigenvalues, make_grid,
+from expsav.grids import (Field, State, fd_laplacian_eigenvalues, make_grid,
                           spectral_laplacian_eigenvalues)
 from expsav.kg import KgState
 from expsav.nls import NlsState
@@ -104,7 +104,7 @@ def test_inner_matches_naive_sum():
     a = rng.normal(size=16) + 1j * rng.normal(size=16)
     b = rng.normal(size=16) + 1j * rng.normal(size=16)
     want = g.h[0] * sum(a[j] * np.conj(b[j]) for j in range(16))
-    got = inner_l2(ComplexField(g, a), ComplexField(g, b))
+    got = inner_l2(Field(g, a), Field(g, b))
     assert abs(got - want) <= 1e-14 * abs(want)
 
 
@@ -120,9 +120,12 @@ def test_state_advance_shifts_the_levels():
     g = make_grid(0, 1, 4, 1)
     u0 = Field(g, np.arange(4.0))
     state = KgState(u=u0, v=u0, q=2.0, u_prev=None, n=0, t=0.0)
-    one = state.advance(0.25, np.ones(4), np.float64(3.0), v=np.zeros(4))
-    two = one.advance(0.25, np.full(4, 2.0), 4.0, v=np.ones(4))
+    one = state.advance(0.25, np.ones(4), np.float64(3.0), v_spectrum=np.zeros(3))
+    corr = np.ones(4)
+    two = one.advance(0.25, np.full(4, 2.0), 4.0, v_spectrum=np.array([4.0, 0.0, 0.0]),
+                      corrections=(corr,))
     assert type(two) is KgState
+    assert state.corrections == one.corrections == () and two.corrections[0] is corr
     assert two.u_prev is one.u and one.u_prev is u0
     assert (two.n, two.t, type(two.q)) == (2, 0.5, float)
     np.testing.assert_array_equal(two.v.values, 1.0)
@@ -131,7 +134,7 @@ def test_state_advance_shifts_the_levels():
 
 def test_nls_state_is_the_common_record():
     g = make_grid(0, 1, 4, 1)
-    state = NlsState(u=ComplexField(g, np.ones(4)), q=1.0, u_prev=None, n=0, t=0.0)
+    state = NlsState(u=Field(g, np.ones(4, complex)), q=1.0, u_prev=None, n=0, t=0.0)
     new = state.advance(0.1, 1j * np.ones(4), 1.0)
     assert NlsState is State and type(new) is State
     assert not hasattr(new, "v")
@@ -143,10 +146,10 @@ def test_state_advance_rejects_a_nonfinite_result(bad):
     g = make_grid(0, 1, 4, 1)
     state = KgState(u=Field(g, np.zeros(4)), v=Field(g, np.zeros(4)), q=1.0,
                     u_prev=Field(g, np.zeros(4)), n=6, t=0.6)
-    values = {"u": np.zeros(4), "v": np.zeros(4), "q": 1.0}
-    values[bad] = np.inf if bad == "q" else np.array([0.0, np.nan, 0.0, 0.0])
+    values = {"u": np.zeros(4), "v": np.zeros(3), "q": 1.0}
+    values[bad] = np.inf if bad == "q" else np.full(values[bad].size, np.nan)
     with pytest.raises(SolverError, match=f"step 7 yields .*{bad}"):
-        state.advance(0.1, values["u"], values["q"], v=values["v"])
+        state.advance(0.1, values["u"], values["q"], v_spectrum=values["v"])
 
 
 @settings(deadline=None, max_examples=30)
@@ -154,8 +157,8 @@ def test_state_advance_rejects_a_nonfinite_result(bad):
 def test_inner_conjugate_symmetry_and_norm(n, seed):
     rng = np.random.default_rng(seed)
     g = make_grid(0.0, 1.0, n, 1)
-    u = ComplexField(g, rng.normal(size=n) + 1j * rng.normal(size=n))
-    v = ComplexField(g, rng.normal(size=n) + 1j * rng.normal(size=n))
+    u = Field(g, rng.normal(size=n) + 1j * rng.normal(size=n))
+    v = Field(g, rng.normal(size=n) + 1j * rng.normal(size=n))
     assert inner_l2(u, v) == pytest.approx(np.conj(inner_l2(v, u)))
     nrm2 = inner_l2(u, u)
     assert abs(nrm2.imag) < 1e-14 * abs(nrm2)

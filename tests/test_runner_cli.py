@@ -17,9 +17,21 @@ from expsav.catalog import CATALOG, CatalogEntry, get_entry, register
 from expsav.cli import build_parser, main
 from expsav.errors import SolverError
 from expsav.runner import (MANIFEST_KEYS, ProblemSpec, _fmt, compare_driver, convergence_driver,
-                           parse_manifest, read_snapshot, run, spec_from_mapping)
+                           parse_manifest, run, spec_from_mapping)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def read_snapshot(path: Path) -> tuple[dict, np.ndarray]:
+    """A snapshot file as README's "Output formats" lays it out: (header dict, flat values)."""
+    raw = path.read_bytes()
+    head, _, payload = raw.partition(b"\ndata\n")
+    header = dict(line.split(" ", 1) for line in head.decode().splitlines())
+    flat = np.frombuffer(payload, dtype="<f8")
+    if header["components"] == "2":
+        half = flat.size // 2
+        return header, flat[:half] + 1j * flat[half:]
+    return header, flat
 
 
 def test_run_zero_horizon(tmp_path):
@@ -107,6 +119,11 @@ def test_spec_validation():
         run(ProblemSpec(problem="sg1d", tau=0.3, t_end=1.0))  # not an integer step count
     with pytest.raises(ValueError):
         run(ProblemSpec(problem="nope"))
+
+
+def test_spec_fixed_point_defaults_are_the_solver_defaults():
+    spec, cfg = ProblemSpec(problem="sg1d"), expsav.FixedPointConfig()
+    assert (spec.fp_tol, spec.fp_max_iters) == (cfg.tol, cfg.max_iters) == (1e-14, 200)
 
 
 def test_ring_snapshots(tmp_path):

@@ -17,7 +17,7 @@ from expsav import avf
 from expsav.avf import FixedPointConfig, eavf_step_kg, eavf_step_nls
 from expsav.catalog import get_entry
 from expsav.fourier import apply_multipliers, forward_values, inverse_values, real_part
-from expsav.grids import (ComplexField, Field, GridSpec, State, fd_laplacian_eigenvalues,
+from expsav.grids import (Field, GridSpec, State, fd_laplacian_eigenvalues,
                           make_grid, spectral_laplacian_eigenvalues)
 from expsav.kg import KgState, kg_init, kg_modified_energy, kg_original_energy, kg_step
 from expsav.nls import NlsProblem, nls_hamiltonian, nls_init, nls_modified_energy, nls_step
@@ -54,7 +54,7 @@ def nls_case(grid, rng):
     tau = 0.01
     u = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
     q = float(np.sqrt(grid.cell * np.sum(np.abs(u) ** 4) + problem.C0))
-    state = State(u=ComplexField(grid, u), q=q, u_prev=ComplexField(grid, u), n=1, t=tau)
+    state = State(u=Field(grid, u), q=q, u_prev=Field(grid, u), n=1, t=tau)
     tables = build_nls_tables(grid, spectral_laplacian_eigenvalues(grid), tau)
     return problem, tables, state
 
