@@ -14,26 +14,25 @@ Both discrete gradients satisfy the chain-rule surrogate
 to machine precision, which is what makes the baseline conserve its own
 discrete (unmodified) energy. Each closed form is one elementwise pass and
 keeps its digits on short chords, where a quotient of differences would
-lose them and keep the iteration from reaching tol. Both implicit updates
-share one fixed-point loop. It iterates until the sup-norm increment, or the
-estimated distance theta/(1-theta)*increment to the fixed point (theta the
-larger of the last two ratios of consecutive increments, Hairer & Wanner II,
-IV.8), drops below cfg.tol, and stops with SolverError at the first
-non-finite increment or at the iteration cap.
+lose them and keep the iteration from reaching tol.
 
-Each iteration adds a correction c to the linear flow, u' = zu - tau c
-(wave) or u' = eu + i beta tau c (Schroedinger). A step keeps its last c in
-State.corrections of the state it returns, with the c the previous step
-kept, and the next step starts its iteration from the linear flow plus the
-extrapolated correction 2 c_n - c_{n-1} (Hairer, Lubich & Wanner, Geometric Numerical Integration,
-VIII.6), or c_n after one eavfs step. A state that keeps none (an initial
-state, one built from physical fields, or one an esavs step made) starts
-from u^n. The start moves the result only within the stopping tolerance.
+Both families iterate u' = z + coeff c, c = F^-1(mult F fbar(u, u')), with z
+the linear flow of u^n and (mult, coeff) = (phi12, -tau) (wave) or (sigma,
+i beta tau) (Schroedinger), until the sup-norm increment, or the estimated
+distance theta/(1-theta)*increment to the fixed point (theta the larger of
+the last two ratios of consecutive increments, Hairer & Wanner II, IV.8),
+drops below cfg.tol; a non-finite increment or the iteration cap raises
+SolverError. A step keeps its last c in State.corrections, with the c the
+previous step kept, and the next step starts from z + coeff (2 c_n - c_{n-1})
+(Hairer, Lubich & Wanner, Geometric Numerical Integration, VIII.6), or
+z + coeff c_n after one eavfs step. A state that keeps none (an initial state,
+one built from physical fields, or one an esavs step made) starts from u^n.
+The start moves the result only within the stopping tolerance.
 
-The linear flow acts on the state's spectra, and u' keeps the spectrum of
-its last iteration. One inverse starts the iteration and each iteration
-makes a forward/inverse pair; the wave step transforms the chord average in
-v' forward once more. So a step makes 2 iters + 2 (wave) or 2 iters + 1 transforms.
+u' keeps the spectrum F z + coeff F c of its last iteration. One inverse
+starts the iteration and each iteration makes a forward/inverse pair; the
+wave step transforms the chord average in v' forward once more. So a step
+makes 2 iters + 2 (wave) or 2 iters + 1 transforms.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ def _fixed_point(update, u0: np.ndarray,
                  cfg: FixedPointConfig) -> tuple[np.ndarray, object, int]:
     """Iterate u <- update(u) from u0; returns (converged iterate, its correction,
     iteration count). update(u) returns the next iterate and the correction it
-    added to the linear flow; a stepper forms u's spectrum from the last one,
+    added to the linear flow; _solve forms u's spectrum from the last one,
     unmixed.
 
     theta is the larger of the last two increment ratios: ratios that alternate
@@ -110,13 +109,27 @@ def _fixed_point(update, u0: np.ndarray,
         f"fixed point stalled at increment {incr:g} after {cfg.max_iters} iterations")
 
 
-def _warm_start(state, base: np.ndarray, scale: complex) -> np.ndarray:
-    """u0 of a step's fixed point: base + scale (2 c_n - c_{n-1}) from the
-    corrections the state keeps, base + scale c_n from one, u^n from none."""
-    kept = state.corrections
-    if not kept:
-        return state.u.values
-    return base + scale * (kept[0] if len(kept) == 1 else 2.0 * kept[0] - kept[1])
+def _solve(state, fz: np.ndarray, mult: np.ndarray, coeff: complex, gradient, inverse,
+           cfg: FixedPointConfig) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], int]:
+    """The iteration above from the state's warm start, z = inverse(fz), gradient(w)
+    the chord mean from u^n to w; returns (u', its spectrum, the corrections to
+    keep, iteration count). The steppers pass closures that look the module's
+    names up per call, where bench/tracer.py times them."""
+    grid = state.u.grid
+    z = inverse(fz)
+
+    # the iteration adds the small correction term to the physical z: its
+    # roundoff scales with that term, not with |z|, near the 1e-14 stop
+    def update(u_iter):
+        fcorr = mult * forward_values(gradient(u_iter), grid)
+        corr = inverse(fcorr)
+        return z + coeff * corr, (fcorr, corr)
+
+    kept, u0 = state.corrections, state.u.values
+    if kept:
+        u0 = z + coeff * (kept[0] if len(kept) == 1 else 2.0 * kept[0] - kept[1])
+    u_new, (fcorr, corr), it = _fixed_point(update, u0, cfg)
+    return u_new, fz + coeff * fcorr, (corr,) + kept[:1], it
 
 
 @np.errstate(all="ignore")
@@ -131,23 +144,16 @@ def eavf_step_kg(state: KgState, tables: ExpPhiTables, problem: KgProblem,
     tau = tables.tau
     u = state.u.values
     fzu, fzv = linear_flow(state.u_spectrum, state.v_spectrum, tables)
-    zu = real_part(inverse_values(fzu, grid))
-
-    # the iteration adds the small phi-gradient term to the physical zu: its
-    # roundoff scales with that term, not with |zu|, near the 1e-14 stop
-    def update(u_iter):
-        fcorr = tables.p12 * forward_values(avf_gradient_kg(problem, u, u_iter), grid)
-        corr = real_part(inverse_values(fcorr, grid))
-        return zu - tau * corr, (fcorr, corr)
-
-    u_new, (fcorr, corr), it = _fixed_point(update, _warm_start(state, zu, -tau), cfg)
+    u_new, fu_new, kept, it = _solve(
+        state, fzu, tables.p12, -tau, lambda w: avf_gradient_kg(problem, u, w),
+        lambda f: real_part(inverse_values(f, grid)), cfg)
     ffb = forward_values(avf_gradient_kg(problem, u, u_new), grid)
     fv_new = fzv - tau * (tables.p11 * ffb)
 
     # q is not evolved by this scheme; keep it consistent with its definition
     radicand = grid.cell * float(np.sum(problem.G(u_new))) + problem.C0
-    return state.advance(tau, u_new, np.sqrt(radicand), u_spectrum=fzu - tau * fcorr,
-                         corrections=(corr,) + state.corrections[:1], v_spectrum=fv_new), it
+    return state.advance(tau, u_new, np.sqrt(radicand), u_spectrum=fu_new,
+                         corrections=kept, v_spectrum=fv_new), it
 
 
 @np.errstate(all="ignore")
@@ -157,19 +163,10 @@ def eavf_step_nls(state: NlsState, tables: NlsTables, problem: NlsProblem,
     grid = problem.grid
     if tables.grid != grid:
         raise ValueError("tables built on a different grid")
-    tau = tables.tau
     u = state.u.values
-
-    feu = tables.expD * state.u_spectrum
-    eu = inverse_values(feu, grid)
-    coeff = 1j * problem.beta * tau
-
-    def update(u_iter):
-        fcorr = tables.sigma * forward_values(avf_gradient_nls(u, u_iter), grid)
-        corr = inverse_values(fcorr, grid)
-        return eu + coeff * corr, (fcorr, corr)
-
-    u_new, (fcorr, corr), it = _fixed_point(update, _warm_start(state, eu, coeff), cfg)
+    u_new, fu_new, kept, it = _solve(
+        state, tables.expD * state.u_spectrum, tables.sigma, 1j * problem.beta * tables.tau,
+        lambda w: avf_gradient_nls(u, w), lambda f: inverse_values(f, grid), cfg)
     radicand = quartic_sum(u_new, grid) + problem.C0
-    return state.advance(tau, u_new, np.sqrt(radicand), u_spectrum=feu + coeff * fcorr,
-                         corrections=(corr,) + state.corrections[:1]), it
+    return state.advance(tables.tau, u_new, np.sqrt(radicand), u_spectrum=fu_new,
+                         corrections=kept), it

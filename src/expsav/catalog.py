@@ -69,18 +69,24 @@ def _half_tangent(u):
     return t
 
 
-def _sine(u):
-    """sin u = 2t/(1 + t^2), t = tan(u/2); the sign of zero is kept."""
+def _tangent_and_sine(u):
+    """(t, sin u) with t = tan(u/2) and sin u = 2 (t/(1 + t^2)); the sign of zero
+    is kept."""
     t = _half_tangent(u)
-    denom = t * t
-    denom += 1.0
-    t += t
-    t /= denom
-    return t
+    sine = t * t
+    sine += 1.0
+    np.divide(t, sine, out=sine)
+    sine += sine
+    return t, sine
+
+
+def _sine(u):
+    return _tangent_and_sine(u)[1]
 
 
 def _versine(u):
-    """1 - cos u = 2t^2/(1 + t^2), t = tan(u/2): no cancellation near u = 0."""
+    """1 - cos u = 2t^2/(1 + t^2), t = tan(u/2): no cancellation near u = 0.
+    Not the pair's t sin u: q(0) and every sine-Gordon run.csv are these bits."""
     t = _half_tangent(u)
     t *= t
     denom = t + 1.0
@@ -90,17 +96,10 @@ def _versine(u):
 
 
 def _versine_sum_and_sine(u):
-    """(sum of 1 - cos u, sin u) from one t = tan(u/2), for the SAV step.
-
-    sin u is 2 (t/(1 + t^2)), bitwise _sine's 2t/(1 + t^2) since doubling is
-    exact; 1 - cos u = t sin u, so the sum is one dot product and no versine
-    array is formed. Each term is within a few ulp of _versine's, and >= 0.
-    """
-    t = _half_tangent(u)
-    sine = t * t
-    sine += 1.0
-    np.divide(t, sine, out=sine)
-    sine += sine
+    """(sum of 1 - cos u, sin u) from one t = tan(u/2), for the SAV step. As
+    1 - cos u = t sin u, the sum is one dot product and no versine array is
+    formed. Each term is within a few ulp of _versine's, and >= 0."""
+    t, sine = _tangent_and_sine(u)
     return float(np.einsum("i,i", t, sine)), sine
 
 

@@ -88,8 +88,10 @@ def build_kg_tables(grid: GridSpec, lam: np.ndarray, omega: float, tau: float) -
         raise ValueError(f"{lam.size} eigenvalues for {grid.size} modes")
     if np.any(lam > 0.0):
         raise ValueError("Laplacian eigenvalues must be nonpositive")
-    if tau <= 0.0:
-        raise ValueError("time step must be positive")
+    if not (np.isfinite(tau) and tau > 0.0):  # tau <= 0.0 is False for nan
+        raise ValueError(f"tau must be positive and finite, got {tau!r}")
+    if not np.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega!r}")
 
     mu2 = omega * omega * (-half_spectrum(lam, grid))
     mu = np.sqrt(mu2)
@@ -112,8 +114,8 @@ def build_nls_tables(grid: GridSpec, lam: np.ndarray, tau: float) -> NlsTables:
     lam = np.asarray(lam, dtype=np.float64).ravel()
     if lam.size != grid.size:
         raise ValueError(f"{lam.size} eigenvalues for {grid.size} modes")
-    if tau <= 0.0:
-        raise ValueError("time step must be positive")
+    if not (np.isfinite(tau) and tau > 0.0):  # tau <= 0.0 is False for nan
+        raise ValueError(f"tau must be positive and finite, got {tau!r}")
 
     x = tau * lam
     expD = np.exp(1j * x)

@@ -115,3 +115,15 @@ def test_state_declares_what_it_carries_and_one_field_class_remains():
     assert dict_users == {"grids.State._keep"}
     assert kept and kept <= cached
     assert complex_field == ["grids.py: ComplexField = Field"]
+
+
+def test_the_eavfs_corrections_are_read_in_one_place():
+    # the warm start and the kept corrections are avf._solve's protocol with
+    # grids.State, which declares them: no stepper reads them on its own
+    readers = {
+        f"{path.stem}.{scope}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "grids.py"
+        for scope, node in scoped_nodes(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "corrections"
+    }
+    assert readers == {"avf._solve"}

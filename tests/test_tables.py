@@ -42,6 +42,24 @@ def test_rejects_positive_eigenvalues():
         build_kg_tables(g, np.array([0.0, 1.0]), omega=1.0, tau=0.1)
 
 
+@pytest.mark.parametrize("tau", [0.0, -0.1, np.nan, np.inf, -np.inf])
+def test_builders_reject_a_time_step_that_is_not_positive_and_finite(tau):
+    # tau <= 0 is False for nan: non-finite values need a check of their own
+    g = make_grid(0, 1, 4, 1)
+    lam = fd_laplacian_eigenvalues(g)
+    with pytest.raises(ValueError, match=f"tau must be positive and finite, got {tau!r}"):
+        build_kg_tables(g, lam, omega=1.0, tau=tau)
+    with pytest.raises(ValueError, match=f"tau must be positive and finite, got {tau!r}"):
+        build_nls_tables(g, lam, tau=tau)
+
+
+@pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf])
+def test_wave_builder_rejects_a_non_finite_omega(omega):
+    g = make_grid(0, 1, 4, 1)
+    with pytest.raises(ValueError, match=f"omega must be finite, got {omega!r}"):
+        build_kg_tables(g, fd_laplacian_eigenvalues(g), omega=omega, tau=0.1)
+
+
 def test_exp_matches_dense_matrix_exponential():
     g = make_grid(0, 8, 8, 1)
     tau, omega = 0.3, 1.0
