@@ -126,6 +126,15 @@ def _ring_radius(x, y):
     return np.sqrt((x + 3.0) ** 2 + (y + 7.0) ** 2)
 
 
+def _quartic_sum_and_cube(u):
+    """(sum of u^4/4, u^3) from one u2 = u u, for the SAV step; the cube is
+    Gp's rounded products bitwise."""
+    u2 = u * u
+    total = 0.25 * float(np.einsum("i,i", u2, u2))
+    u2 *= u
+    return total, u2
+
+
 def _kg2d_problem(grid: GridSpec, c0: float) -> KgProblem:
     return KgProblem(
         grid=grid,
@@ -138,6 +147,7 @@ def _kg2d_problem(grid: GridSpec, c0: float) -> KgProblem:
         C0=c0,
         # (b^4 - a^4)/(4 (b - a)); at a = b the same rounded products as Gp(a)
         chord_mean=lambda a, b: 0.25 * (a + b) * (a * a + b * b),
+        sum_G_and_Gp=_quartic_sum_and_cube,
     )
 
 

@@ -15,7 +15,7 @@ and q^{n+1/2} = q + <w, u' - u>/(4 s) closes it in ONE scalar equation:
 
     q^{n+1/2} = (q + <w, zu - u>/(4 s)) / (1 + tau/(4 s^2) * <w, phi12 w>),
     q' = q + <w, u' - u>/(2 s),
-    v' = e21 u + e11 v - (tau (q+q')/(2 s)) * phi11 w    (e22 = e11, phi22 = phi11).
+    v' = e21 u + e11 v - (tau (q+q')/(2 s)) * phi11 w    (e22 = e11, phi22 = phi11 = e12/tau).
 
 The update conserves E exactly in exact arithmetic, with no nonlinear
 iteration anywhere. The state keeps the half spectra of u and v, where
@@ -126,6 +126,8 @@ def kg_step(state: KgState, tables: ExpPhiTables, problem: KgProblem) -> KgState
     grid = problem.grid
     if tables.grid != grid:
         raise ValueError("tables built on a different grid")
+    if tables.omega != problem.omega:
+        raise ValueError(f"tables built for omega {tables.omega!r}, problem has {problem.omega!r}")
     cell = grid.cell
     tau = tables.tau
     u, q = state.u.values, state.q
@@ -153,10 +155,9 @@ def kg_step(state: KgState, tables: ExpPhiTables, problem: KgProblem) -> KgState
     fu_new = np.subtract(fzu, fphi12_w, out=fphi12_w)
     u_new = real_part(inverse_values(fu_new, grid))
     q_new = q + cell * float(np.einsum("i,i", w, u_new - u)) / (2.0 * s)
-    beta = tau * 0.5 * (q + q_new) / s
-    # v' = zv - beta phi11 w, accumulated in zv; w's spectrum is not read again
-    fw *= tables.p11
-    fw *= beta
+    # v' = zv - ((q + q')/(2 s)) e12 w, accumulated in zv; w's spectrum is not read again
+    fw *= tables.e12
+    fw *= 0.5 * (q + q_new) / s
     fzv -= fw
     return state.advance(tau, u_new, q_new, u_spectrum=fu_new, v_spectrum=fzv)
 

@@ -8,7 +8,7 @@ and, writing x = tau*mu,
                  [-tau*mu^2*s1(x),  cos x]]                  [-tau*mu^2*c2(x), s1(x)   ]]
 
 where s1(x) = sin(x)/x and c2(x) = (1 - cos x)/x^2, with s1(0) = 1 and
-c2(0) = 1/2. phi is the average of exp over one step,
+c2(0) = 1/2; so phi11 = e12/tau. phi is the average of exp over one step,
 phi = integral_0^1 exp((1-xi)*V) dxi, so the lam = 0 block is
 [[1, tau/2], [0, 1]] rather than the identity. Every exp block has
 determinant cos^2 x + sin^2 x = 1.
@@ -38,17 +38,18 @@ from .grids import GridSpec
 class ExpPhiTables:
     """Per-mode 2x2 blocks of exp(V) and phi(V) for the wave stepper, on the half spectrum.
 
-    Each block's two diagonal entries are equal, so e11/p11 also serve as e22/p22.
-    phi21 is not stored: the forcing (0, -G'(u)) has no u component, so no
-    stepper reads it.
+    Each block's two diagonal entries are equal, so e11 also serves as e22, and
+    e12/tau as phi11 = phi22. phi21 is not stored: the forcing (0, -G'(u)) has
+    no u component, so no stepper reads it.
+    omega is the wave speed the blocks are for; the steppers refuse another.
     """
 
     grid: GridSpec
     tau: float
+    omega: float
     e11: np.ndarray
     e12: np.ndarray
     e21: np.ndarray
-    p11: np.ndarray
     p12: np.ndarray
 
 
@@ -77,19 +78,27 @@ def versine_over_x2(x: np.ndarray) -> np.ndarray:
     return 0.5 * sin_over_x(0.5 * np.asarray(x, dtype=np.float64)) ** 2
 
 
+def _checked_eigenvalues(grid: GridSpec, lam: np.ndarray, tau: float) -> np.ndarray:
+    """lam as flat float64, once it holds one finite value per mode and tau > 0 is finite."""
+    lam = np.asarray(lam, dtype=np.float64).ravel()
+    if lam.size != grid.size:
+        raise ValueError(f"{lam.size} eigenvalues for {grid.size} modes")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("Laplacian eigenvalues must be finite")
+    if not (np.isfinite(tau) and tau > 0.0):  # tau <= 0.0 is False for nan
+        raise ValueError(f"tau must be positive and finite, got {tau!r}")
+    return lam
+
+
 def build_kg_tables(grid: GridSpec, lam: np.ndarray, omega: float, tau: float) -> ExpPhiTables:
     """Tabulate the wave-system exp/phi blocks for Laplacian eigenvalues lam.
 
     lam is given in full mode order (grid.size entries, even in k); the
     tables hold its half-spectrum part.
     """
-    lam = np.asarray(lam, dtype=np.float64).ravel()
-    if lam.size != grid.size:
-        raise ValueError(f"{lam.size} eigenvalues for {grid.size} modes")
+    lam = _checked_eigenvalues(grid, lam, tau)
     if np.any(lam > 0.0):
         raise ValueError("Laplacian eigenvalues must be nonpositive")
-    if not (np.isfinite(tau) and tau > 0.0):  # tau <= 0.0 is False for nan
-        raise ValueError(f"tau must be positive and finite, got {tau!r}")
     if not np.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega!r}")
 
@@ -97,27 +106,20 @@ def build_kg_tables(grid: GridSpec, lam: np.ndarray, omega: float, tau: float) -
     mu = np.sqrt(mu2)
     x = tau * mu
     s1 = sin_over_x(x)
-    c2 = versine_over_x2(x)
     return ExpPhiTables(
         grid=grid,
         tau=float(tau),
+        omega=float(omega),
         e11=np.cos(x),
         e12=tau * s1,
         e21=-tau * mu2 * s1,
-        p11=s1,
-        p12=tau * c2,
+        p12=tau * versine_over_x2(x),
     )
 
 
 def build_nls_tables(grid: GridSpec, lam: np.ndarray, tau: float) -> NlsTables:
     """Tabulate exp(i*tau*lam) and sigma for the Schroedinger stepper."""
-    lam = np.asarray(lam, dtype=np.float64).ravel()
-    if lam.size != grid.size:
-        raise ValueError(f"{lam.size} eigenvalues for {grid.size} modes")
-    if not (np.isfinite(tau) and tau > 0.0):  # tau <= 0.0 is False for nan
-        raise ValueError(f"tau must be positive and finite, got {tau!r}")
-
-    x = tau * lam
+    x = tau * _checked_eigenvalues(grid, lam, tau)
     expD = np.exp(1j * x)
     # (e^{ix} - 1)/(ix) = e^{ix/2} sin(x/2)/(x/2), exact and cancellation-free
     sigma = np.exp(0.5j * x) * sin_over_x(0.5 * x)

@@ -12,7 +12,7 @@ from expsav.catalog import CATALOG, get_entry
 from expsav.errors import SolverError
 from expsav.grids import (Field, GridSpec, fd_laplacian_eigenvalues, make_grid,
                           spectral_laplacian_eigenvalues)
-from expsav.kg import KgState, kg_init, kg_original_energy
+from expsav.kg import KgProblem, KgState, kg_init, kg_original_energy, kg_step
 from expsav.nls import NlsProblem, nls_hamiltonian, nls_init
 from expsav.runner import ProblemSpec, run
 from expsav.tables import build_kg_tables, build_nls_tables
@@ -327,3 +327,20 @@ def test_nls_zero_state_one_iteration():
     state, iters = eavf_step_nls(nls_init(problem), tables, problem, FixedPointConfig())
     assert iters == 1
     np.testing.assert_array_equal(state.u.values, 0.0)
+
+
+@pytest.mark.parametrize("scheme", ["esavs", "eavfs"])
+def test_wave_steppers_refuse_tables_built_for_another_omega(scheme):
+    # README's library example with omega = 1.1 tables, which drifted silently;
+    # the chord mean is there so that omega is the one thing wrong for eavfs
+    grid = make_grid(-20.0, 20.0, 400, dim=1)
+    problem = KgProblem(grid=grid, omega=1.0, G=lambda u: 1.0 - np.cos(u), Gp=np.sin,
+                        phi1=lambda x: 0.0 * x, phi2=lambda x: 4.0 / np.cosh(x), C0=1.0,
+                        chord_mean=sine_gordon_problem(grid).chord_mean)
+    tables = build_kg_tables(grid, fd_laplacian_eigenvalues(grid), omega=1.1, tau=0.01)
+    state = kg_init(problem)
+    with pytest.raises(ValueError, match=r"tables built for omega 1\.1, problem has 1\.0"):
+        if scheme == "esavs":
+            kg_step(state, tables, problem)
+        else:
+            eavf_step_kg(state, tables, problem, FixedPointConfig())

@@ -112,6 +112,17 @@ def test_sine_gordon_pair_is_the_kernels_from_one_tangent():
     assert total == pytest.approx(np.sum(problem.G(u)), rel=1e-13, abs=0.0)
 
 
+def test_cubic_pair_is_the_kernels_from_one_square():
+    entry = get_entry("kg2d_cubic")
+    problem = entry.make_problem(entry.make_grid(8), 0.0)
+    u = kernel_sample()
+    u_before = u.copy()
+    total, gp = problem.sum_G_and_Gp(u)
+    np.testing.assert_array_equal(u, u_before)
+    np.testing.assert_array_equal(gp.view(np.int64), problem.Gp(u).view(np.int64))
+    assert total == pytest.approx(np.sum(problem.G(u)), rel=1e-13, abs=0.0)
+
+
 def test_sine_gordon_kernels_keep_zero_and_warn_about_nothing():
     entry = get_entry("sg1d")
     problem = entry.make_problem(entry.make_grid(8), 1.0)
@@ -271,8 +282,8 @@ def test_step_with_the_pair_matches_dense_oracle():
         assert new.q == pytest.approx(q_ref, abs=1e-11)
 
 
-def test_step_evaluates_the_pair_once_and_neither_kernel():
-    entry = get_entry("sg2d_ring")
+def kernel_calls_of_three_steps(problem_id):
+    entry = get_entry(problem_id)
     grid = entry.make_grid(16)
     problem = entry.make_problem(grid, 0.0)
     calls = []
@@ -290,7 +301,15 @@ def test_step_evaluates_the_pair_once_and_neither_kernel():
     state = kg_init(problem)
     for _ in range(3):
         state = kg_step(state, tables, counting)
-    assert calls == ["pair"] * 3
+    return calls
+
+
+def test_step_evaluates_the_pair_once_and_neither_kernel():
+    assert kernel_calls_of_three_steps("sg2d_ring") == ["pair"] * 3
+
+
+def test_cubic_step_evaluates_the_pair_once_and_neither_kernel():
+    assert kernel_calls_of_three_steps("kg2d_cubic") == ["pair"] * 3
 
 
 @pytest.mark.parametrize("steps_before", [0, 2])

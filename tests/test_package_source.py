@@ -62,12 +62,13 @@ def test_sin_and_cos_only_in_set_up_code():
 def test_no_blas_reductions_in_the_wave_and_transform_code():
     # OpenBLAS threads a dot product above a size threshold, and its sum order
     # (so the last bits of E_mod and of u') would follow the thread count: the
-    # wave steppers and Parseval sums reduce with np.einsum, whose loop is
-    # fixed. nls.py keeps np.dot and np.vdot, which are 2-3x faster at its
-    # catalog sizes; there its bytes match at 1 and 2 threads.
+    # wave steppers, Parseval sums, tables, grids and the catalog's kernel
+    # pairs reduce with np.einsum, whose loop is fixed. nls.py keeps np.dot
+    # and np.vdot, which are 2-3x faster at its catalog sizes; there its bytes
+    # match at 1 and 2 threads.
     blas = {"dot", "vdot", "inner", "matmul"}
     found = []
-    for name in ("kg.py", "fourier.py", "avf.py"):
+    for name in ("kg.py", "fourier.py", "avf.py", "tables.py", "grids.py", "catalog.py"):
         path = SRC / name
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if ((isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult))

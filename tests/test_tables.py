@@ -23,7 +23,7 @@ def test_zero_mode_entries():
     g = make_grid(0, 1, 2, 1)
     t = build_kg_tables(g, np.array([0.0, -1.0]), omega=1.0, tau=0.1)
     assert (t.e11[0], t.e12[0], t.e21[0]) == (1.0, 0.1, 0.0)
-    assert t.p11[0] == 1.0
+    assert t.e12[0] / t.tau == 1.0  # phi11
     assert t.p12[0] == pytest.approx(0.05)
 
 
@@ -53,6 +53,26 @@ def test_builders_reject_a_time_step_that_is_not_positive_and_finite(tau):
         build_nls_tables(g, lam, tau=tau)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_builders_reject_non_finite_eigenvalues(bad):
+    # nan > 0 is False, so a sign check alone let nan through to e11 and expD
+    g = make_grid(0, 1, 4, 1)
+    lam = np.array([0.0, -1.0, bad, -1.0])
+    with pytest.raises(ValueError, match="Laplacian eigenvalues must be finite"):
+        build_kg_tables(g, lam, omega=1.0, tau=0.1)
+    with pytest.raises(ValueError, match="Laplacian eigenvalues must be finite"):
+        build_nls_tables(g, lam, tau=0.1)
+
+
+def test_wave_tables_hold_four_arrays_and_their_omega():
+    g = make_grid(0, 1, 8, 1)
+    t = build_kg_tables(g, fd_laplacian_eigenvalues(g), omega=np.float64(1.3), tau=0.1)
+    arrays = [name for name, value in vars(t).items() if isinstance(value, np.ndarray)]
+    assert arrays == ["e11", "e12", "e21", "p12"]
+    # a Python float, so that a sum of the tables' nbytes counts arrays only
+    assert type(t.omega) is float and t.omega == 1.3
+
+
 @pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf])
 def test_wave_builder_rejects_a_non_finite_omega(omega):
     g = make_grid(0, 1, 4, 1)
@@ -65,10 +85,11 @@ def test_exp_matches_dense_matrix_exponential():
     tau, omega = 0.3, 1.0
     t = build_kg_tables(g, fd_laplacian_eigenvalues(g), omega, tau)
     (e11, e12, e21, e22), (p11, p12, p21, p22) = oracles.dense_wave_operators(g, omega, tau)
-    # the diagonal entries of each block are equal: e11/p11 stand in for e22/p22
+    # the diagonal entries of each block are equal: e11 stands in for e22, and
+    # e12/tau for phi11 and phi22
     for table, dense in [(t.e11, e11), (t.e12, e12), (t.e21, e21), (t.e11, e22)]:
         np.testing.assert_allclose(table_as_dense(table, g), dense, atol=1e-11)
-    for table, dense in [(t.p11, p11), (t.p12, p12), (t.p11, p22)]:
+    for table, dense in [(t.e12 / t.tau, p11), (t.p12, p12), (t.e12 / t.tau, p22)]:
         np.testing.assert_allclose(table_as_dense(table, g), dense, atol=1e-10)
 
 
@@ -92,7 +113,7 @@ def test_blocks_even_in_k(dim, n):
     for axis in range(dim):
         np.testing.assert_array_equal(full, mirror(full, axis), err_msg=f"lam along {axis}")
     t = build_kg_tables(g, lam, omega=1.3, tau=0.4)
-    for name in ("e11", "e12", "e21", "p11", "p12"):
+    for name in ("e11", "e12", "e21", "p12"):
         block = getattr(t, name).reshape(-1, n // 2 + 1)
         np.testing.assert_array_equal(block, mirror(block, 0), err_msg=name)
 
