@@ -46,8 +46,8 @@ from .errors import SolverError
 # unused here; kept only because bench/tracer.py patches avf.apply_multipliers
 from .fourier import apply_multipliers  # noqa: F401
 from .fourier import forward_values, inverse_values, real_part
-from .kg import KgProblem, KgState, linear_flow
-from .nls import NlsProblem, NlsState, quartic_sum
+from .kg import KgProblem, KgState, check_kg_tables, linear_flow
+from .nls import NlsProblem, NlsState, check_nls_tables, quartic_sum
 from .tables import ExpPhiTables, NlsTables
 
 
@@ -136,11 +136,8 @@ def _solve(state, fz: np.ndarray, mult: np.ndarray, coeff: complex, gradient, in
 def eavf_step_kg(state: KgState, tables: ExpPhiTables, problem: KgProblem,
                  cfg: FixedPointConfig) -> tuple[KgState, int]:
     """One implicit step; returns (new state, fixed-point iteration count)."""
+    check_kg_tables(tables, problem)
     grid = problem.grid
-    if tables.grid != grid:
-        raise ValueError("tables built on a different grid")
-    if tables.omega != problem.omega:
-        raise ValueError(f"tables built for omega {tables.omega!r}, problem has {problem.omega!r}")
     if problem.chord_mean is None:
         raise ValueError("the implicit wave step needs KgProblem.chord_mean")
     tau = tables.tau
@@ -163,9 +160,8 @@ def eavf_step_kg(state: KgState, tables: ExpPhiTables, problem: KgProblem,
 def eavf_step_nls(state: NlsState, tables: NlsTables, problem: NlsProblem,
                   cfg: FixedPointConfig) -> tuple[NlsState, int]:
     """One implicit step of the Schroedinger baseline; returns (state, iterations)."""
+    check_nls_tables(tables, problem)
     grid = problem.grid
-    if tables.grid != grid:
-        raise ValueError("tables built on a different grid")
     u = state.u.values
     u_new, fu_new, kept, it = _solve(
         state, tables.expD * state.u_spectrum, tables.sigma, 1j * problem.beta * tables.tau,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -36,10 +36,10 @@ class GridSpec:
         if self.dim not in (1, 2):
             raise ValueError(f"only 1D and 2D grids supported, got dim={self.dim}")
         for lo, hi, num in zip(self.a, self.b, self.n):
-            if hi <= lo:
-                raise ValueError(f"domain endpoints must satisfy b > a, got [{lo}, {hi}]")
-            if num < 2 or num % 2 != 0:
-                raise ValueError(f"node count must be an even integer >= 2, got {num}")
+            if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+                raise ValueError(f"domain endpoints must be finite with b > a, got [{lo}, {hi}]")
+            if not isinstance(num, (int, np.integer)) or num < 2 or num % 2 != 0:
+                raise ValueError(f"node count must be an even integer >= 2, got {num!r}")
 
     @property
     def dim(self) -> int:
@@ -158,8 +158,13 @@ class State:
         raises SolverError (u_spectrum is the transform of the checked u). The
         steppers run under np.errstate(all="ignore"): a failing step overflows
         on its way to their guards or to these checks, and numpy's warnings
-        would only repeat them.
+        would only repeat them. A state that was stepped with another tau
+        refuses this one (ValueError): the predictor and the eavfs warm start
+        assume equal steps.
         """
+        if self.n and abs(self.t - self.n * tau) > 1e-9 * max(1.0, abs(self.t)):
+            raise ValueError(f"state at t = {self.t!r} after {self.n} steps was not stepped with "
+                             f"tau = {tau!r}; build a new initial state to change the step size")
         n = self.n + 1
         name = "u"
         try:
@@ -184,6 +189,7 @@ def sample(grid: GridSpec, fn) -> np.ndarray:
     return np.broadcast_to(out, grid.shape).ravel().copy()
 
 
+@lru_cache(maxsize=16)  # one read-only array per grid, shared by tables and energies
 def fd_laplacian_eigenvalues(grid: GridSpec) -> np.ndarray:
     """Eigenvalues of the periodic second-difference Laplacian, in mode order.
 
@@ -196,13 +202,18 @@ def fd_laplacian_eigenvalues(grid: GridSpec) -> np.ndarray:
     for N, h in zip(grid.n, grid.h):
         j = np.arange(N)
         per_axis.append(-(4.0 / h**2) * np.sin(np.minimum(j, N - j) * np.pi / N) ** 2)
-    return reduce(np.add.outer, per_axis).ravel()
+    lam = reduce(np.add.outer, per_axis).ravel()
+    lam.flags.writeable = False
+    return lam
 
 
+@lru_cache(maxsize=16)  # one read-only array per grid, shared by tables and energies
 def spectral_laplacian_eigenvalues(grid: GridSpec) -> np.ndarray:
     """Fourier symbol of the Laplacian: -( (2*pi/(b-a)) * k )^2 in DFT mode order."""
     per_axis = []
     for N, lo, hi in zip(grid.n, grid.a, grid.b):
         k = np.fft.fftfreq(N, d=1.0 / N)  # signed wavenumbers 0, 1, ..., -1
         per_axis.append(-((2.0 * np.pi / (hi - lo)) * k) ** 2)
-    return reduce(np.add.outer, per_axis).ravel()
+    lam = reduce(np.add.outer, per_axis).ravel()
+    lam.flags.writeable = False
+    return lam

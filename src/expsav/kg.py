@@ -37,7 +37,7 @@ thread count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -120,14 +120,22 @@ def linear_flow(fu: np.ndarray, fv: np.ndarray,
     return zu, zv
 
 
-@np.errstate(all="ignore")
-def kg_step(state: KgState, tables: ExpPhiTables, problem: KgProblem) -> KgState:
-    """Advance one step of size tables.tau; returns the new state."""
-    grid = problem.grid
-    if tables.grid != grid:
+def check_kg_tables(tables: ExpPhiTables, problem: KgProblem) -> None:
+    """Refuse tables built for another grid or omega, or from another Laplacian."""
+    if tables.grid != problem.grid:
         raise ValueError("tables built on a different grid")
     if tables.omega != problem.omega:
         raise ValueError(f"tables built for omega {tables.omega!r}, problem has {problem.omega!r}")
+    if not tables.fd_laplacian:
+        raise ValueError("tables not built from fd_laplacian_eigenvalues(grid), "
+                         "the Laplacian of the wave energies")
+
+
+@np.errstate(all="ignore")
+def kg_step(state: KgState, tables: ExpPhiTables, problem: KgProblem) -> KgState:
+    """Advance one step of size tables.tau; returns the new state."""
+    check_kg_tables(tables, problem)
+    grid = problem.grid
     cell = grid.cell
     tau = tables.tau
     u, q = state.u.values, state.q
@@ -162,19 +170,13 @@ def kg_step(state: KgState, tables: ExpPhiTables, problem: KgProblem) -> KgState
     return state.advance(tau, u_new, q_new, u_spectrum=fu_new, v_spectrum=fzv)
 
 
-@lru_cache(maxsize=16)
-def _fd_symbol(grid: GridSpec) -> np.ndarray:
-    """Eigenvalues of the FD Laplacian on the half spectrum, built once per grid."""
-    return half_spectrum(fd_laplacian_eigenvalues(grid), grid)
-
-
 def _quadratic_energy(state: KgState, problem: KgProblem) -> float:
     """1/2||v||^2 + omega^2/2 ||d+ u||^2 from the half spectra, with no transform.
 
     By summation by parts ||d+ u||^2 = -<B2 u, u>, and B2 has the FD symbol lam.
     """
     grid, fu, fv = state.u.grid, state.u_spectrum, state.v_spectrum
-    gradient = -half_inner(_fd_symbol(grid) * fu, fu, grid)
+    gradient = -half_inner(half_spectrum(fd_laplacian_eigenvalues(grid), grid) * fu, fu, grid)
     return 0.5 * half_inner(fv, fv, grid) + 0.5 * problem.omega**2 * gradient
 
 

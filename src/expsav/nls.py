@@ -26,7 +26,6 @@ Hamiltonian integral of (-|grad u|^2 + beta/2 |u|^4) at t = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -81,12 +80,20 @@ def nls_init(problem: NlsProblem) -> NlsState:
                     u_prev=None, n=0, t=0.0)
 
 
+def check_nls_tables(tables: NlsTables, problem: NlsProblem) -> None:
+    """Refuse tables built for another grid or from another Laplacian."""
+    if tables.grid != problem.grid:
+        raise ValueError("tables built on a different grid")
+    if not tables.spectral_laplacian:
+        raise ValueError("tables not built from spectral_laplacian_eigenvalues(grid), "
+                         "the Laplacian of the energies")
+
+
 @np.errstate(all="ignore")
 def nls_step(state: NlsState, tables: NlsTables, problem: NlsProblem) -> NlsState:
     """Advance one step of size tables.tau; returns the new state."""
+    check_nls_tables(tables, problem)
     grid = problem.grid
-    if tables.grid != grid:
-        raise ValueError("tables built on a different grid")
     cell = grid.cell
     tau = tables.tau
     u, q = state.u.values, state.q
@@ -117,14 +124,11 @@ def nls_step(state: NlsState, tables: NlsTables, problem: NlsProblem) -> NlsStat
     return state.advance(tau, u_new, q_new, u_spectrum=fu_new)
 
 
-# the eigenvalues are built once per grid
-_laplacian_symbol = lru_cache(maxsize=16)(spectral_laplacian_eigenvalues)
-
-
 def nls_kinetic(state: NlsState, problem: NlsProblem) -> float:
     """<Lap u, u> = cell/N * sum lam |u_k|^2 by Parseval (a real number <= 0)."""
     grid, fu = problem.grid, state.u_spectrum
-    return grid.cell / grid.size * float(np.vdot(fu, _laplacian_symbol(grid) * fu).real)
+    lam = spectral_laplacian_eigenvalues(grid)
+    return grid.cell / grid.size * float(np.vdot(fu, lam * fu).real)
 
 
 def nls_modified_energy(state: NlsState, problem: NlsProblem) -> float:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import half_spectrum
-from .grids import GridSpec
+from .grids import GridSpec, fd_laplacian_eigenvalues, spectral_laplacian_eigenvalues
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,6 +51,7 @@ class ExpPhiTables:
     e12: np.ndarray
     e21: np.ndarray
     p12: np.ndarray
+    fd_laplacian: bool  # lam was fd_laplacian_eigenvalues(grid); the steppers need it
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +62,7 @@ class NlsTables:
     tau: float
     expD: np.ndarray
     sigma: np.ndarray
+    spectral_laplacian: bool  # lam was spectral_laplacian_eigenvalues(grid); the steppers need it
 
 
 def sin_over_x(x: np.ndarray) -> np.ndarray:
@@ -78,8 +80,11 @@ def versine_over_x2(x: np.ndarray) -> np.ndarray:
     return 0.5 * sin_over_x(0.5 * np.asarray(x, dtype=np.float64)) ** 2
 
 
-def _checked_eigenvalues(grid: GridSpec, lam: np.ndarray, tau: float) -> np.ndarray:
-    """lam as flat float64, once it holds one finite value per mode and tau > 0 is finite."""
+def _checked_eigenvalues(grid: GridSpec, lam: np.ndarray, tau: float,
+                         family: np.ndarray) -> tuple[np.ndarray, bool]:
+    """lam as flat float64, once it holds one finite value per mode and tau > 0 is
+    finite, and whether it is family: the shared array itself, or equal to it."""
+    same = lam is family
     lam = np.asarray(lam, dtype=np.float64).ravel()
     if lam.size != grid.size:
         raise ValueError(f"{lam.size} eigenvalues for {grid.size} modes")
@@ -87,16 +92,17 @@ def _checked_eigenvalues(grid: GridSpec, lam: np.ndarray, tau: float) -> np.ndar
         raise ValueError("Laplacian eigenvalues must be finite")
     if not (np.isfinite(tau) and tau > 0.0):  # tau <= 0.0 is False for nan
         raise ValueError(f"tau must be positive and finite, got {tau!r}")
-    return lam
+    return lam, bool(same or np.array_equal(lam, family))
 
 
 def build_kg_tables(grid: GridSpec, lam: np.ndarray, omega: float, tau: float) -> ExpPhiTables:
     """Tabulate the wave-system exp/phi blocks for Laplacian eigenvalues lam.
 
     lam is given in full mode order (grid.size entries, even in k); the
-    tables hold its half-spectrum part.
+    tables hold its half-spectrum part. Any such lam is tabulated; the
+    steppers take only tables from fd_laplacian_eigenvalues(grid).
     """
-    lam = _checked_eigenvalues(grid, lam, tau)
+    lam, fd = _checked_eigenvalues(grid, lam, tau, fd_laplacian_eigenvalues(grid))
     if np.any(lam > 0.0):
         raise ValueError("Laplacian eigenvalues must be nonpositive")
     if not np.isfinite(omega):
@@ -114,13 +120,17 @@ def build_kg_tables(grid: GridSpec, lam: np.ndarray, omega: float, tau: float) -
         e12=tau * s1,
         e21=-tau * mu2 * s1,
         p12=tau * versine_over_x2(x),
+        fd_laplacian=fd,
     )
 
 
 def build_nls_tables(grid: GridSpec, lam: np.ndarray, tau: float) -> NlsTables:
-    """Tabulate exp(i*tau*lam) and sigma for the Schroedinger stepper."""
-    x = tau * _checked_eigenvalues(grid, lam, tau)
+    """Tabulate exp(i*tau*lam) and sigma for the Schroedinger stepper (which
+    takes only tables from spectral_laplacian_eigenvalues(grid))."""
+    lam, spectral = _checked_eigenvalues(grid, lam, tau, spectral_laplacian_eigenvalues(grid))
+    x = tau * lam
     expD = np.exp(1j * x)
     # (e^{ix} - 1)/(ix) = e^{ix/2} sin(x/2)/(x/2), exact and cancellation-free
     sigma = np.exp(0.5j * x) * sin_over_x(0.5 * x)
-    return NlsTables(grid=grid, tau=float(tau), expD=expD, sigma=sigma)
+    return NlsTables(grid=grid, tau=float(tau), expD=expD, sigma=sigma,
+                     spectral_laplacian=spectral)

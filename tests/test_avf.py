@@ -13,7 +13,7 @@ from expsav.errors import SolverError
 from expsav.grids import (Field, GridSpec, fd_laplacian_eigenvalues, make_grid,
                           spectral_laplacian_eigenvalues)
 from expsav.kg import KgProblem, KgState, kg_init, kg_original_energy, kg_step
-from expsav.nls import NlsProblem, nls_hamiltonian, nls_init
+from expsav.nls import NlsProblem, nls_hamiltonian, nls_init, nls_step
 from expsav.runner import ProblemSpec, run
 from expsav.tables import build_kg_tables, build_nls_tables
 
@@ -329,14 +329,50 @@ def test_nls_zero_state_one_iteration():
     np.testing.assert_array_equal(state.u.values, 0.0)
 
 
+def readme_problem():
+    # README's library example, with the chord mean so that eavfs can step it too
+    grid = make_grid(-20.0, 20.0, 400, dim=1)
+    return KgProblem(grid=grid, omega=1.0, G=lambda u: 1.0 - np.cos(u), Gp=np.sin,
+                     phi1=lambda x: 0.0 * x, phi2=lambda x: 4.0 / np.cosh(x), C0=1.0,
+                     chord_mean=sine_gordon_problem(grid).chord_mean)
+
+
+def nls_problem():
+    entry = get_entry("nls1d_soliton")
+    return entry.make_problem(entry.make_grid(128), 0.0)
+
+
+def step_with(family, scheme, lam):
+    """(initial state, step: (state, tau) -> state) for a stepper whose tables
+    are built from lam(grid) at each tau."""
+    problem = readme_problem() if family == "wave" else nls_problem()
+    grid = problem.grid
+
+    def step(state, tau):
+        if family == "wave":
+            tables = build_kg_tables(grid, lam(grid), problem.omega, tau)
+            if scheme == "esavs":
+                return kg_step(state, tables, problem)
+            return eavf_step_kg(state, tables, problem, FixedPointConfig())[0]
+        tables = build_nls_tables(grid, lam(grid), tau)
+        if scheme == "esavs":
+            return nls_step(state, tables, problem)
+        return eavf_step_nls(state, tables, problem, FixedPointConfig())[0]
+
+    init = kg_init if family == "wave" else nls_init
+    return init(problem), step
+
+
+OWN_LAPLACIAN = {"wave": fd_laplacian_eigenvalues, "nls": spectral_laplacian_eigenvalues}
+OTHER_LAPLACIAN = {"wave": spectral_laplacian_eigenvalues, "nls": fd_laplacian_eigenvalues}
+
+
 @pytest.mark.parametrize("scheme", ["esavs", "eavfs"])
 def test_wave_steppers_refuse_tables_built_for_another_omega(scheme):
     # README's library example with omega = 1.1 tables, which drifted silently;
     # the chord mean is there so that omega is the one thing wrong for eavfs
-    grid = make_grid(-20.0, 20.0, 400, dim=1)
-    problem = KgProblem(grid=grid, omega=1.0, G=lambda u: 1.0 - np.cos(u), Gp=np.sin,
-                        phi1=lambda x: 0.0 * x, phi2=lambda x: 4.0 / np.cosh(x), C0=1.0,
-                        chord_mean=sine_gordon_problem(grid).chord_mean)
+    problem = readme_problem()
+    grid = problem.grid
     tables = build_kg_tables(grid, fd_laplacian_eigenvalues(grid), omega=1.1, tau=0.01)
     state = kg_init(problem)
     with pytest.raises(ValueError, match=r"tables built for omega 1\.1, problem has 1\.0"):
@@ -344,3 +380,30 @@ def test_wave_steppers_refuse_tables_built_for_another_omega(scheme):
             kg_step(state, tables, problem)
         else:
             eavf_step_kg(state, tables, problem, FixedPointConfig())
+
+
+@pytest.mark.parametrize("scheme", ["esavs", "eavfs"])
+@pytest.mark.parametrize("family", ["wave", "nls"])
+def test_steppers_refuse_tables_built_from_another_laplacian(family, scheme):
+    # wave tables from the spectral eigenvalues drifted E_mod silently by 1.8e-4,
+    # NLS tables from the FD eigenvalues by 2.8e-7; a writable copy of the
+    # family's own eigenvalues is the same Laplacian, and is stepped
+    state, step = step_with(family, scheme, OTHER_LAPLACIAN[family])
+    with pytest.raises(ValueError, match=r"tables not built from "
+                       + OWN_LAPLACIAN[family].__name__ + r"\(grid\)"):
+        step(state, 0.01)
+    state, step = step_with(family, scheme, lambda grid: OWN_LAPLACIAN[family](grid).copy())
+    assert step(state, 0.01).n == 1
+
+
+@pytest.mark.parametrize("scheme", ["esavs", "eavfs"])
+@pytest.mark.parametrize("family", ["wave", "nls"])
+def test_a_state_refuses_a_step_size_it_was_not_stepped_with(family, scheme):
+    # ten steps of 0.1 and one of 0.05 gave n = 11 and t = 0.55 silently, while
+    # the predictor and the eavfs warm start assume equal steps
+    state, step = step_with(family, scheme, OWN_LAPLACIAN[family])
+    for _ in range(10):
+        state = step(state, 0.1)
+    with pytest.raises(ValueError, match="build a new initial state to change the step size"):
+        step(state, 0.05)
+    assert step(state, 0.1).t == pytest.approx(1.1)

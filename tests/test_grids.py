@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expsav.errors import SolverError
-from expsav.grids import (Field, State, fd_laplacian_eigenvalues, make_grid,
+from expsav.grids import (Field, GridSpec, State, fd_laplacian_eigenvalues, make_grid,
                           spectral_laplacian_eigenvalues)
 from expsav.kg import KgState
 from expsav.nls import NlsState
@@ -36,11 +36,20 @@ def test_make_grid_2d():
     assert g.shape == (200, 200)
 
 
-@pytest.mark.parametrize("bad", [(0, 1, 3), (0, 1, 0), (0, 1, -4), (1, 1, 4), (2, 1, 4)])
+@pytest.mark.parametrize("bad", [(0, 1, 3), (0, 1, 0), (0, 1, -4), (1, 1, 4), (2, 1, 4),
+                                 (np.nan, 1, 4), (0, np.nan, 4), (0, np.inf, 4),
+                                 (-np.inf, 1, 4)])
 def test_make_grid_rejects(bad):
     a, b, n = bad
     with pytest.raises(ValueError):
         make_grid(a, b, n, 1)
+
+
+@pytest.mark.parametrize("n", [4.0, 4.5, "4"])
+def test_grid_spec_rejects_a_node_count_that_is_not_an_integer(n):
+    # n = 4.0 passed the check and failed with a TypeError at the first transform
+    with pytest.raises(ValueError, match="node count must be an even integer"):
+        GridSpec(a=(0.0,), b=(1.0,), n=(n,))
 
 
 def test_fd_eigenvalues_endpoints():
@@ -79,6 +88,19 @@ def test_spectral_eigenvalues_sequence():
     g = make_grid(0, 2 * np.pi, 8, 1)
     lam = spectral_laplacian_eigenvalues(g)
     np.testing.assert_allclose(lam, [0, -1, -4, -9, -16, -9, -4, -1], atol=1e-12)
+
+
+@pytest.mark.parametrize("eigenvalues", [fd_laplacian_eigenvalues,
+                                         spectral_laplacian_eigenvalues])
+def test_eigenvalues_are_one_shared_read_only_array_per_grid(eigenvalues):
+    # the tables, the energies and the catalog share the array: a write into it
+    # would change all of them, so it is refused
+    lam = eigenvalues(make_grid(0, 1, 8, 2))
+    assert eigenvalues(make_grid(0, 1, 8, 2)) is lam
+    assert not lam.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        lam[0] = 1.0
+    assert eigenvalues(make_grid(0, 1, 16, 2)) is not lam
 
 
 def test_spectral_eigenvalues_scaling():

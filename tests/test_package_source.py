@@ -128,3 +128,19 @@ def test_the_eavfs_corrections_are_read_in_one_place():
         if isinstance(node, ast.Attribute) and node.attr == "corrections"
     }
     assert readers == {"avf._solve"}
+
+
+def test_only_grids_caches():
+    # each Laplacian has one source, grids' cached eigenvalue functions, which
+    # the tables and the energies share; a private cache elsewhere would be a
+    # second copy that nothing ties to the first
+    caches = {"lru_cache", "cache"}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if ((isinstance(node, ast.ImportFrom) and node.module == "functools"
+                 and any(alias.name in caches for alias in node.names))
+                    or (isinstance(node, ast.Attribute) and node.attr in caches
+                        and isinstance(node.value, ast.Name) and node.value.id == "functools")):
+                found.add(path.name)
+    assert found == {"grids.py"}
