@@ -75,7 +75,7 @@ class GridSpec:
 
 def make_grid(a: float, b: float, n: int, dim: int = 1) -> GridSpec:
     """Build a periodic grid on [a, b) with n nodes per axis (square in 2D)."""
-    return GridSpec(a=(float(a),) * dim, b=(float(b),) * dim, n=(int(n),) * dim)
+    return GridSpec(a=(float(a),) * dim, b=(float(b),) * dim, n=(n,) * dim)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,36 +2,22 @@
 
 The second-order system  u_tt = omega^2 * Lap(u) - G'(u)  is rewritten with
 the scalar auxiliary variable q = sqrt(<G(u), 1> + C0), which turns the
-energy into a quadratic in (u, v, q):
+energy into a quadratic in (u, v, q) that the step conserves exactly:
 
     E = 1/2 ||v||^2 + omega^2/2 ||d+ u||^2 + q^2 - C0.
 
-One step applies the exact flow of the stiff linear part through the
-per-mode exp/phi tables and treats the nonlinearity at the extrapolated
-midpoint uhat = (3 u^n - u^{n-1})/2 (u^0 at the first step), which makes
-the update linear in the unknowns. With w = G'(uhat), s^2 = <G(uhat), 1> + C0
-and zu = e11 u + e12 v, the step is u' = zu - (tau q^{n+1/2} / s) * phi12 w,
-and q^{n+1/2} = q + <w, u' - u>/(4 s) closes it in ONE scalar equation:
+sav_solve below closes the step of both esavs families. The wave gives it
+w = G'(uhat), the flow zu = e11 u + e12 v of the kept half spectra and the
+kernel -tau phi12, and its denominator must be positive. The velocity is
 
-    q^{n+1/2} = (q + <w, zu - u>/(4 s)) / (1 + tau/(4 s^2) * <w, phi12 w>),
-    q' = q + <w, u' - u>/(2 s),
-    v' = e21 u + e11 v - (tau (q+q')/(2 s)) * phi11 w    (e22 = e11, phi22 = phi11 = e12/tau).
+    v' = e21 u + e11 v - (tau (q+q')/(2 s)) * phi11 w    (e22 = e11, phi22 = phi11 = e12/tau),
 
-The update conserves E exactly in exact arithmetic, with no nonlinear
-iteration anywhere. The state keeps the half spectra of u and v, where
-the linear flow is a product: a step transforms w forward, takes
-<w, zu> and <w, phi12 w> by Parseval, and inverts once for u': two real
-FFTs and one scalar division. v' stays a half spectrum. q' uses the
-physical <w, u' - u> rather than 2 q^{n+1/2} - q, which keeps the energy
-drift at roundoff.
-
-The nonlinearity is one call at the predictor when KgProblem.sum_G_and_Gp
-gives <G(uhat), 1> and w together (the catalog's sine-Gordon pair, from one
-tan(uhat/2)); otherwise G and Gp are called in turn. The spectral updates
-reuse the step's own temporaries: u' is formed in the buffer of phi12 w,
-v' accumulates in that of zv. Every reduction is an einsum, not a BLAS dot,
-whose threaded sum order would make the last bits depend on the BLAS
-thread count.
+a half spectrum: a step makes two real FFTs. KgProblem.sum_G_and_Gp, when
+set, gives <G(uhat), 1> and w from one call (the catalog's pairs);
+otherwise G and Gp are called in turn. u' is formed in the buffer of
+phi12 w and v' in that of zv. Every reduction is an einsum, not a BLAS
+dot, whose threaded sum order would make the last bits depend on the
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -120,6 +106,41 @@ def linear_flow(fu: np.ndarray, fv: np.ndarray,
     return zu, zv
 
 
+def sav_solve(state: State, w: np.ndarray, s2: float, fz: np.ndarray, mult: np.ndarray,
+              coeff: complex, inner: Callable, denominator: Callable[[float], float]
+              ) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """One esavs step's scalar closure, for both families: returns the spectrum
+    of u', that of w, q' and the factor (q + q')/(2 s) of the wave's v'.
+
+    w is the gradient of the quadratized potential at the predictor
+    uhat = (3 u^n - u^{n-1})/2 (u^0 at the first step), s^2 the radicand
+    there, fz the spectrum of the exact linear flow z of u, and K = coeff * mult
+    the kernel. The step
+
+        u' = z + (q^{n+1/2} / s) K w,    q^{n+1/2} = q + Re<w, u' - u>/(4 s)
+
+    closes in ONE real scalar equation, with no nonlinear iteration:
+
+        q^{n+1/2} = (q + Re<w, z - u>/(4 s)) / (1 - a),    a = Re<w, K w>/(4 s^2),
+        q' = q + Re<w, u' - u>/(2 s).
+
+    denominator(a) checks the closure and returns 1 - a. Every product is a
+    Parseval sum, inner(A, B, grid) = <a, b>, of spectra the step already has.
+    """
+    grid, q = state.u.grid, state.q
+    s = np.sqrt(s2)
+    fw = forward_values(w, grid)
+    fkw = mult * fw
+    # Re<w, K w> = Re(coeff <mult w, w>)
+    denom = denominator((coeff * inner(fkw, fw, grid)).real / (4.0 * s2))
+    fu = state.u_spectrum
+    q_half = (q + (inner(fz, fw, grid).real - inner(fu, fw, grid).real) / (4.0 * s)) / denom
+    fkw *= coeff * q_half / s
+    fu_new = np.add(fz, fkw, out=fkw)
+    q_new = q + inner(fu_new - fu, fw, grid).real / (2.0 * s)
+    return fu_new, fw, q_new, 0.5 * (q + q_new) / s
+
+
 def check_kg_tables(tables: ExpPhiTables, problem: KgProblem) -> None:
     """Refuse tables built for another grid or omega, or from another Laplacian."""
     if tables.grid != problem.grid:
@@ -135,39 +156,23 @@ def check_kg_tables(tables: ExpPhiTables, problem: KgProblem) -> None:
 def kg_step(state: KgState, tables: ExpPhiTables, problem: KgProblem) -> KgState:
     """Advance one step of size tables.tau; returns the new state."""
     check_kg_tables(tables, problem)
-    grid = problem.grid
-    cell = grid.cell
-    tau = tables.tau
-    u, q = state.u.values, state.q
-
     uhat = state.predictor()
     if problem.sum_G_and_Gp is not None:
         sum_g, w = problem.sum_G_and_Gp(uhat)
     else:
         sum_g, w = float(np.sum(problem.G(uhat))), problem.Gp(uhat)
-    s2 = require_positive(cell * sum_g + problem.C0, "<G(uhat), 1> + C0")
-    s = np.sqrt(s2)
+    s2 = require_positive(problem.grid.cell * sum_g + problem.C0, "<G(uhat), 1> + C0")
 
-    fw = forward_values(w, grid)
     fzu, fzv = linear_flow(state.u_spectrum, state.v_spectrum, tables)
-    fphi12_w = tables.p12 * fw
-
-    # the one scalar equation for q^{n+1/2}, its inner products by Parseval
-    w_phi12_w = half_inner(fw, fphi12_w, grid)
-    denom = require_positive(1.0 + tau / (4.0 * s2) * w_phi12_w, "scalar-solve denominator")
-    w_zu_u = half_inner(fw, fzu, grid) - cell * float(np.einsum("i,i", w, u))
-    q_half = (q + w_zu_u / (4.0 * s)) / denom
-
-    # u' = zu - (tau q^{n+1/2} / s) phi12 w, formed in phi12 w's buffer
-    fphi12_w *= tau * q_half / s
-    fu_new = np.subtract(fzu, fphi12_w, out=fphi12_w)
-    u_new = real_part(inverse_values(fu_new, grid))
-    q_new = q + cell * float(np.einsum("i,i", w, u_new - u)) / (2.0 * s)
+    fu_new, fw, q_new, v_factor = sav_solve(
+        state, w, s2, fzu, tables.p12, -tables.tau, half_inner,
+        lambda a: require_positive(1.0 - a, "scalar-solve denominator"))
     # v' = zv - ((q + q')/(2 s)) e12 w, accumulated in zv; w's spectrum is not read again
     fw *= tables.e12
-    fw *= 0.5 * (q + q_new) / s
+    fw *= v_factor
     fzv -= fw
-    return state.advance(tau, u_new, q_new, u_spectrum=fu_new, v_spectrum=fzv)
+    u_new = real_part(inverse_values(fu_new, problem.grid))
+    return state.advance(tables.tau, u_new, q_new, u_spectrum=fu_new, v_spectrum=fzv)
 
 
 def _quadratic_energy(state: KgState, problem: KgProblem) -> float:

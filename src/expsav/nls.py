@@ -3,20 +3,15 @@
 i u_t + Lap(u) + beta |u|^2 u = 0 on a periodic box, discretized
 pseudo-spectrally (the Laplacian is diagonal in Fourier space with symbol
 lam). The auxiliary variable q = sqrt(<|u|^4, 1> + C0) quadratizes the
-quartic energy term. One step reads
+quartic energy term. A step is kg.sav_solve, the closure the wave shares,
+given w = 4 |uhat|^2 uhat (the gradient of |u|^4, so the wave's 1/(4 s)
+constants hold), the phase flow e u of the kept spectrum and the kernel
+(i beta tau / 4) sigma. With gamma = w / (4 s) and Phi = i beta tau F^-1 sigma F:
 
-    u' = e u + q^{n+1/2} * Phi gamma,    e = F^-1 expD F,    Phi = i beta tau F^-1 Sigma F,
-    gamma = |uhat|^2 uhat / sqrt(<|uhat|^4, 1> + C0),
+    u' = e u + q^{n+1/2} * Phi gamma.
 
-with uhat the (3 u^n - u^{n-1})/2 extrapolation (u^0 at the first step),
-and q^{n+1/2} = q + Re<gamma, u' - u> closes it in ONE real scalar equation:
-
-    q^{n+1/2} = (q + Re<gamma, e u - u>) / (1 - Re<gamma, Phi gamma>),
-    q' = 2 q^{n+1/2} - q.
-
-The state keeps the spectrum of u: a step transforms gamma forward, takes
-<gamma, e u> and <gamma, Phi gamma> by Parseval and inverts once for u':
-two complex FFTs and one scalar division.
+The step refuses a non-finite Re<gamma, Phi gamma> and a singular
+1 - Re<gamma, Phi gamma>, and makes two complex FFTs.
 
 The conserved functional (see nls_modified_energy) is
 <Lap u, u> + beta/2 q^2 - beta/2 C0, which reduces to the continuous
@@ -35,6 +30,7 @@ from .errors import SolverError, require_positive
 # unused here; kept only because bench/tracer.py patches nls.apply_multipliers
 from .fourier import apply_multipliers  # noqa: F401
 from .grids import Field, GridSpec, State, sample, spectral_laplacian_eigenvalues
+from .kg import sav_solve
 from .tables import NlsTables
 
 # a closure denominator below this, relative to 1 + |Re<gamma, Phi gamma>|, is singular
@@ -89,39 +85,35 @@ def check_nls_tables(tables: NlsTables, problem: NlsProblem) -> None:
                          "the Laplacian of the energies")
 
 
-@np.errstate(all="ignore")
-def nls_step(state: NlsState, tables: NlsTables, problem: NlsProblem) -> NlsState:
-    """Advance one step of size tables.tau; returns the new state."""
-    check_nls_tables(tables, problem)
-    grid = problem.grid
-    cell = grid.cell
-    tau = tables.tau
-    u, q = state.u.values, state.q
+def _inner(a_hat: np.ndarray, b_hat: np.ndarray, grid: GridSpec) -> complex:
+    """<a, b> = cell sum a conj(b) = cell/N sum A conj(B) (Parseval); vdot conjugates b_hat."""
+    return grid.cell / grid.size * np.vdot(b_hat, a_hat)
 
-    uhat = state.predictor()
-    abs2 = uhat.real * uhat.real + uhat.imag * uhat.imag
-    s2 = require_positive(cell * float(np.dot(abs2, abs2)) + problem.C0, "<|uhat|^4, 1> + C0")
-    s = np.sqrt(s2)
-    gamma = (abs2 * uhat) / s
-    fgamma = fourier.forward_values(gamma, grid)
-    fphi_gamma = (1j * problem.beta * tau) * (tables.sigma * fgamma)
 
-    # <a, b> = cell sum a conj(b) = cell/N sum A conj(B) (Parseval); vdot conjugates a
-    cell_n = cell / grid.size
-    a = cell_n * np.vdot(fphi_gamma, fgamma).real         # Re<gamma, Phi gamma>
+def _closure_denominator(a: float) -> float:
+    """1 - a for a = Re<gamma, Phi gamma>; refuses a non-finite a and a singular closure."""
     if not np.isfinite(a):
         raise SolverError(f"closure coefficient Re<gamma, Phi gamma> is non-finite ({a:g})")
     denom = 1.0 - a
     if abs(denom) < _SINGULAR_TOL * (1.0 + abs(a)):
         raise SolverError(f"closure is singular (1 - Re<gamma, Phi gamma> = {denom:g})")
-    feu = tables.expD * state.u_spectrum
-    eu_u = cell_n * np.vdot(feu, fgamma).real - cell * np.vdot(u, gamma).real  # Re<gamma, eu - u>
-    q_half = (q + eu_u) / denom
+    return denom
 
-    fu_new = feu + q_half * fphi_gamma
-    u_new = fourier.inverse_values(fu_new, grid)
-    q_new = 2.0 * q_half - q
-    return state.advance(tau, u_new, q_new, u_spectrum=fu_new)
+
+@np.errstate(all="ignore")
+def nls_step(state: NlsState, tables: NlsTables, problem: NlsProblem) -> NlsState:
+    """Advance one step of size tables.tau; returns the new state."""
+    check_nls_tables(tables, problem)
+    grid = problem.grid
+    uhat = state.predictor()
+    abs2 = uhat.real * uhat.real + uhat.imag * uhat.imag
+    s2 = require_positive(grid.cell * float(np.dot(abs2, abs2)) + problem.C0, "<|uhat|^4, 1> + C0")
+    abs2 *= 4.0
+    fu_new, _, q_new, _ = sav_solve(state, abs2 * uhat, s2, tables.expD * state.u_spectrum,
+                                    tables.sigma, 0.25j * problem.beta * tables.tau,
+                                    _inner, _closure_denominator)
+    return state.advance(tables.tau, fourier.inverse_values(fu_new, grid), q_new,
+                         u_spectrum=fu_new)
 
 
 def nls_kinetic(state: NlsState, problem: NlsProblem) -> float:

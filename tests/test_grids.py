@@ -38,8 +38,9 @@ def test_make_grid_2d():
 
 @pytest.mark.parametrize("bad", [(0, 1, 3), (0, 1, 0), (0, 1, -4), (1, 1, 4), (2, 1, 4),
                                  (np.nan, 1, 4), (0, np.nan, 4), (0, np.inf, 4),
-                                 (-np.inf, 1, 4)])
+                                 (-np.inf, 1, 4), (0, 1, 4.5), (0, 1, 4.0), (0, 1, "6")])
 def test_make_grid_rejects(bad):
+    # a node count that is not an integer reaches GridSpec as given, not truncated
     a, b, n = bad
     with pytest.raises(ValueError):
         make_grid(a, b, n, 1)

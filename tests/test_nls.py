@@ -8,10 +8,11 @@ from expsav.catalog import get_entry, sech
 from expsav.errors import SolverError
 from expsav.diagnostics import convergence_orders, error_norms
 from expsav.fourier import apply_multipliers
-from expsav.grids import Field, make_grid, spectral_laplacian_eigenvalues
+from expsav.grids import Field, fd_laplacian_eigenvalues, make_grid, spectral_laplacian_eigenvalues
+from expsav.kg import KgProblem, KgState, kg_step
 from expsav.nls import (NlsProblem, NlsState, nls_hamiltonian, nls_init, nls_kinetic,
                         nls_modified_energy, nls_step, quartic_sum)
-from expsav.tables import build_nls_tables
+from expsav.tables import build_kg_tables, build_nls_tables
 
 import oracles
 
@@ -169,19 +170,39 @@ def test_step_rejects_nonfinite_radicand():
         nls_step(state, tables, problem)
 
 
-def test_step_closes_on_the_half_step_auxiliary_value():
-    # the closure's defining identity: q^{n+1/2} = (q + q')/2 = q + Re<gamma, u' - u>
-    rng = np.random.default_rng(9)
-    grid = make_grid(0, 2 * np.pi, 16, 1)
-    lam = spectral_laplacian_eigenvalues(grid)
-    problem = NlsProblem(grid=grid, beta=1.7, u0=lambda x: np.zeros_like(x, dtype=complex),
-                         C0=0.3)
-    tables = build_nls_tables(grid, lam, 0.02)
-    state = random_state(problem, rng, 0.02)
-    gamma = sav_gamma(state, problem)
-    new = nls_step(state, tables, problem)
-    increment = grid.cell * np.vdot(new.u.values - state.u.values, gamma).real
-    assert 0.5 * (state.q + new.q) == pytest.approx(state.q + increment, abs=1e-12)
+def _sav_step_from_a_random_state(family, rng):
+    """(state, stepped state, w, s^2) of one esavs step; w is the gradient of the
+    quadratized potential at the predictor and s^2 its radicand there."""
+    if family == "nls":
+        grid = make_grid(0, 2 * np.pi, 16, 1)
+        problem = NlsProblem(grid=grid, beta=1.7, u0=lambda x: np.zeros_like(x, dtype=complex),
+                             C0=0.3)
+        tables = build_nls_tables(grid, spectral_laplacian_eigenvalues(grid), 0.02)
+        state = random_state(problem, rng, 0.02)
+        uhat = 1.5 * state.u.values - 0.5 * state.u_prev.values
+        abs2 = np.abs(uhat) ** 2
+        s2 = grid.cell * np.sum(abs2 * abs2) + 0.3
+        return state, nls_step(state, tables, problem), 4.0 * abs2 * uhat, s2
+    grid = make_grid(-1, 1, 16, 1)
+    problem = KgProblem(grid=grid, omega=1.0, G=lambda u: 1.0 - np.cos(u), Gp=np.sin,
+                        phi1=np.zeros_like, phi2=np.zeros_like, C0=0.3)
+    tables = build_kg_tables(grid, fd_laplacian_eigenvalues(grid), 1.0, 0.02)
+    u, v = rng.normal(size=grid.size), rng.normal(size=grid.size)
+    state = KgState(u=Field(grid, u), v=Field(grid, v), q=1.3,
+                    u_prev=Field(grid, u - 0.02 * v), n=2, t=0.04)
+    uhat = 1.5 * u - 0.5 * state.u_prev.values
+    w = np.sin(uhat)
+    return state, kg_step(state, tables, problem), w, grid.cell * np.sum(1.0 - np.cos(uhat)) + 0.3
+
+
+@pytest.mark.parametrize("family", ["nls", "wave"])
+def test_step_closes_on_the_half_step_auxiliary_value(family):
+    # the closure's defining identity, for both esavs families:
+    # q^{n+1/2} = (q + q')/2 = q + Re<w, u' - u>/(4 s), so q' - q = Re<w, u' - u>/(2 s)
+    state, new, w, s2 = _sav_step_from_a_random_state(family, np.random.default_rng(9))
+    grid = state.u.grid
+    increment = grid.cell * np.vdot(new.u.values - state.u.values, w).real
+    assert new.q - state.q == pytest.approx(increment / (2.0 * np.sqrt(s2)), abs=1e-12)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -144,3 +144,16 @@ def test_only_grids_caches():
                         and isinstance(node.value, ast.Name) and node.value.id == "functools")):
                 found.add(path.name)
     assert found == {"grids.py"}
+
+
+def test_one_closure_reads_the_auxiliary_value():
+    # both esavs families close q^{n+1/2} and q' in kg.sav_solve, the one SAV
+    # core; outside grids.State, which carries q, only it and the two modified
+    # energies read it
+    readers = {
+        f"{path.stem}.{scope}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "grids.py"
+        for scope, node in scoped_nodes(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "q"
+    }
+    assert readers == {"kg.sav_solve", "kg.kg_modified_energy", "nls.nls_modified_energy"}

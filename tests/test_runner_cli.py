@@ -493,10 +493,12 @@ def test_csv_headers_match_the_readme(tmp_path, capsys):
 DIVERGING_EAVFS = ["run", "--problem", "kg2d_cubic", "--tau", "4", "--t-end", "40",
                    "--n", "16", "--scheme", "eavfs"]
 DIVERGED_MSG = "expsav: solver failure: fixed point diverged at iteration 9\n"
-# an esavs blow-up: the solution grows until |uhat|^4 overflows at step 33 of 60
+# an esavs blow-up: the solution grows until the closure's Parseval product
+# <K w, w>, of order |uhat|^6, overflows at step 33 of 60
 NONFINITE_ESAVS = ["run", "--problem", "nls2d_planewave", "--n", "32", "--tau", "4",
                    "--t-end", "240"]
-NONFINITE_MSG = "expsav: solver failure: <|uhat|^4, 1> + C0 is non-finite (inf)\n"
+NONFINITE_MSG = ("expsav: solver failure: closure coefficient Re<gamma, Phi gamma> "
+                 "is non-finite (nan)\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -513,11 +515,11 @@ def test_cli_eavfs_divergence_fails_fast(argv, message, capsys):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_esavs_overflow_is_a_solver_failure(capsys):
-    # the solution grows until |uhat|^4 overflows at step 127 of 150
+    # the solution grows until the closure's product <K w, w> overflows at step 119 of 150
     assert main(["run", "--problem", "nls2d_planewave", "--tau", "3", "--t-end", "450",
                  "--n", "8"]) == 2
     assert capsys.readouterr().err == (
-        "expsav: solver failure: <|uhat|^4, 1> + C0 is non-finite (inf)\n")
+        "expsav: solver failure: closure coefficient Re<gamma, Phi gamma> is non-finite (nan)\n")
 
 
 @pytest.mark.parametrize("c0", ["nan", "inf"])
