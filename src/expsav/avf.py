@@ -96,7 +96,8 @@ def _fixed_point(update, u0: np.ndarray,
     u_iter, prev, last = u0, math.nan, math.nan
     for it in range(1, cfg.max_iters + 1):
         u_next, fcorr = update(u_iter)
-        incr = float(np.max(np.abs(u_next - u_iter)))
+        d = u_next - u_iter
+        incr = float(np.max(np.abs(d, out=d) if np.isrealobj(d) else np.abs(d)))
         if not math.isfinite(incr):
             raise SolverError(f"fixed point diverged at iteration {it}")
         u_iter = u_next
@@ -119,17 +120,24 @@ def _solve(state, fz: np.ndarray, mult: np.ndarray, coeff: complex, gradient, in
     z = inverse(fz)
 
     # the iteration adds the small correction term to the physical z: its
-    # roundoff scales with that term, not with |z|, near the 1e-14 stop
+    # roundoff scales with that term, not with |z|, near the 1e-14 stop. Each
+    # product is formed in a transform's fresh output or in one new array,
+    # with its operands in their order (mult * F, coeff * c; see fourier.py)
     def update(u_iter):
-        fcorr = mult * forward_values(gradient(u_iter), grid)
+        fcorr = forward_values(gradient(u_iter), grid)
+        np.multiply(mult, fcorr, out=fcorr)
         corr = inverse(fcorr)
-        return z + coeff * corr, (fcorr, corr)
+        u_next = np.multiply(coeff, corr)
+        u_next += z
+        return u_next, (fcorr, corr)
 
     kept, u0 = state.corrections, state.u.values
     if kept:
         u0 = z + coeff * (kept[0] if len(kept) == 1 else 2.0 * kept[0] - kept[1])
     u_new, (fcorr, corr), it = _fixed_point(update, u0, cfg)
-    return u_new, fz + coeff * fcorr, (corr,) + kept[:1], it
+    fu_new = np.multiply(coeff, fcorr, out=fcorr)
+    fu_new += fz
+    return u_new, fu_new, (corr,) + kept[:1], it
 
 
 @np.errstate(all="ignore")

@@ -135,6 +135,17 @@ def _quartic_sum_and_cube(u):
     return total, u2
 
 
+def _cubic_chord_mean(a, b):
+    """(b^4 - a^4)/(4 (b - a)) = 0.25 (a + b) (a a + b b), in two work arrays;
+    at a = b the same rounded products as Gp(a)."""
+    mean = a + b
+    mean *= 0.25
+    squares = a * a
+    squares += b * b
+    mean *= squares
+    return mean
+
+
 def _kg2d_problem(grid: GridSpec, c0: float) -> KgProblem:
     return KgProblem(
         grid=grid,
@@ -145,8 +156,7 @@ def _kg2d_problem(grid: GridSpec, c0: float) -> KgProblem:
         phi1=lambda x, y: 2.0 * sech(np.cosh(x**2 + y**2)),
         phi2=lambda x, y: np.zeros_like(x),
         C0=c0,
-        # (b^4 - a^4)/(4 (b - a)); at a = b the same rounded products as Gp(a)
-        chord_mean=lambda a, b: 0.25 * (a + b) * (a * a + b * b),
+        chord_mean=_cubic_chord_mean,
         sum_G_and_Gp=_quartic_sum_and_cube,
     )
 

@@ -26,6 +26,17 @@ When the last axis has 2 nodes the half spectrum is the full one; it then
 inverts through the complex path, which is exact there, and real_part
 drops the zero imaginary part; so every inverse of a wave stepper or state
 (u' of the SAV step, AVF iterates, a velocity from its spectrum) goes through it.
+
+Each transform allocates only the array it returns. It runs numpy's 1-D
+passes in numpy's own axis order, so its results are numpy's rfftn, fftn,
+ifftn and irfftn bitwise: the first pass (rfft or fft on the last axis)
+allocates the result and the leading-axis pass runs in place on it, with
+out=. A 2-D half-spectrum inverse keeps one intermediate, the ifft of the
+leading axis, because irfft cannot write real values over complex input.
+No transform writes into its argument, so a caller may update the array a
+transform returns in place. Such an update keeps the operand order of the
+product it replaces (np.multiply(mult, F, out=F) for mult * F, never
+F *= mult): numpy's complex multiply is not bitwise commutative.
 """
 
 from __future__ import annotations
@@ -46,17 +57,25 @@ def forward_values(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Mode coefficients of flat node values: half spectrum if real, full if complex."""
     if values.size != grid.size:
         raise ValueError(f"{values.size} values for {grid.size} nodes")
-    if not np.iscomplexobj(values):
-        return np.fft.rfftn(values.reshape(grid.shape)).ravel()
-    return np.fft.fftn(values.reshape(grid.shape)).ravel()
+    x = values.reshape(grid.shape)
+    out = np.fft.fft(x) if np.iscomplexobj(x) else np.fft.rfft(x)
+    if grid.dim == 2:
+        np.fft.fft(out, axis=0, out=out)
+    return out.ravel()
 
 
 def inverse_values(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Flat node values whose forward transform is coeffs; real from a half spectrum."""
     if coeffs.size < grid.size:
-        return np.fft.irfftn(coeffs.reshape(_half_shape(grid)), s=grid.shape,
-                             axes=tuple(range(grid.dim))).ravel()
-    return np.fft.ifftn(coeffs.reshape(grid.shape)).ravel()
+        x = coeffs.reshape(_half_shape(grid))
+        if grid.dim == 2:
+            # the one intermediate: irfft cannot write real values over it
+            x = np.fft.ifft(x, axis=0)
+        return np.fft.irfft(x, n=grid.shape[-1]).ravel()
+    out = np.fft.ifft(coeffs.reshape(grid.shape))
+    if grid.dim == 2:
+        np.fft.ifft(out, axis=0, out=out)
+    return out.ravel()
 
 
 def apply_multipliers(values: np.ndarray, multipliers: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import require_positive
-from .fourier import forward_values, half_inner, half_spectrum, inverse_values, real_part
+from .fourier import forward_values, half_inner, inverse_values, real_part
 from .grids import Field, GridSpec, State, fd_laplacian_eigenvalues, sample
 from .tables import ExpPhiTables
 
@@ -181,7 +181,10 @@ def _quadratic_energy(state: KgState, problem: KgProblem) -> float:
     By summation by parts ||d+ u||^2 = -<B2 u, u>, and B2 has the FD symbol lam.
     """
     grid, fu, fv = state.u.grid, state.u_spectrum, state.v_spectrum
-    gradient = -half_inner(half_spectrum(fd_laplacian_eigenvalues(grid), grid) * fu, fu, grid)
+    # the product on the half-spectrum columns of the cached symbol, not on a cut copy
+    rows = fu.reshape(-1, grid.shape[-1] // 2 + 1)
+    lam = fd_laplacian_eigenvalues(grid).reshape(rows.shape[0], -1)[:, : rows.shape[1]]
+    gradient = -half_inner(lam * rows, fu, grid)
     return 0.5 * half_inner(fv, fv, grid) + 0.5 * problem.omega**2 * gradient
 
 

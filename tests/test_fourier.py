@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,60 @@ def test_half_inner_is_parseval(g):
     physical = g.cell * float(np.sum(a * b))
     spectral = half_inner(forward_values(a, g), forward_values(b, g), g)
     assert spectral == pytest.approx(physical, rel=1e-12)
+
+
+PINNED_SHAPES = [(200,), (4096,), (6, 4), (4, 2), (2, 2), (200, 200)]
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("shape", PINNED_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_transforms_are_numpys_nd_transforms_bitwise(shape, kind):
+    # built from 1-D passes in numpy's axis order, so every stored spectrum
+    # and run.csv keeps its bits; neither transform writes into its argument
+    g = GridSpec(a=(0.0,) * len(shape), b=(1.0,) * len(shape), n=shape)
+    rng = np.random.default_rng(12)
+    u = rng.normal(size=g.size)
+    if kind == "complex":
+        u = u + 1j * rng.normal(size=g.size)
+    u_kept = u.copy()
+    coeffs = forward_values(u, g)
+    nd = np.fft.fftn if kind == "complex" else np.fft.rfftn
+    assert same_bytes(coeffs, nd(u.reshape(shape)).ravel())
+    assert same_bytes(u, u_kept)
+
+    coeffs_kept = coeffs.copy()
+    back = inverse_values(coeffs, g)
+    if coeffs.size < g.size:
+        half = (*shape[:-1], shape[-1] // 2 + 1)
+        expected = np.fft.irfftn(coeffs.reshape(half), s=shape, axes=tuple(range(len(shape))))
+    else:  # a complex field, or a last axis of 2 nodes: the complex path
+        expected = np.fft.ifftn(coeffs.reshape(shape))
+    assert same_bytes(back, expected.ravel())
+    assert same_bytes(coeffs, coeffs_kept)
+
+
+@pytest.mark.parametrize("case", ["forward-real", "forward-complex", "inverse-full"])
+def test_a_transform_allocates_only_the_array_it_returns(case):
+    # numpy's fftn and rfftn keep a second full-size array next to the result
+    # (a peak of 2x its bytes at 200x200); the later passes here run in place
+    g = make_grid(0, 1, 200, 2)
+    rng = np.random.default_rng(13)
+    u = rng.normal(size=g.size)
+    if case != "forward-real":
+        u = u + 1j * rng.normal(size=g.size)
+    transform = inverse_values if case == "inverse-full" else forward_values
+    transform(u, g)  # warm-up: numpy's plan cache and lazy imports
+    tracemalloc.start()
+    try:
+        out = transform(u, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * out.nbytes
 
 
 @settings(deadline=None, max_examples=25)

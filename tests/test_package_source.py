@@ -157,3 +157,32 @@ def test_one_closure_reads_the_auxiliary_value():
         if isinstance(node, ast.Attribute) and node.attr == "q"
     }
     assert readers == {"kg.sav_solve", "kg.kg_modified_energy", "nls.nls_modified_energy"}
+
+
+def test_transforms_only_in_fourier():
+    # every transform passes fourier.forward_values or inverse_values, the one
+    # hook bench/tracer.py counts as fourier.step_calls_per_step; grids.py
+    # takes only the wavenumbers, np.fft.fftfreq, from numpy.fft
+    fft_modules = ("numpy.fft", "scipy.fft")
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "fourier.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "fft"
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                parent = parents.get(node)
+                if not (path.name == "grids.py" and isinstance(parent, ast.Attribute)
+                        and parent.attr == "fftfreq"):
+                    found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Import) and any(
+                    alias.name.startswith(fft_modules) for alias in node.names):
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and (
+                    (node.module or "").startswith(fft_modules)
+                    or (node.module in ("numpy", "scipy")
+                        and any(alias.name == "fft" for alias in node.names))):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
