@@ -63,8 +63,8 @@ class FixedPointConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 # a name of its own because bench/tracer.py times it as avf.gradient

@@ -142,14 +142,12 @@ def sav_solve(state: State, w: np.ndarray, s2: float, fz: np.ndarray, mult: np.n
 
 
 def check_kg_tables(tables: ExpPhiTables, problem: KgProblem) -> None:
-    """Refuse tables built for another grid or omega, or from another Laplacian."""
+    """Refuse tables built for another grid or omega (the builder already
+    refused any Laplacian but the grid's FD one)."""
     if tables.grid != problem.grid:
         raise ValueError("tables built on a different grid")
     if tables.omega != problem.omega:
         raise ValueError(f"tables built for omega {tables.omega!r}, problem has {problem.omega!r}")
-    if not tables.fd_laplacian:
-        raise ValueError("tables not built from fd_laplacian_eigenvalues(grid), "
-                         "the Laplacian of the wave energies")
 
 
 @np.errstate(all="ignore")

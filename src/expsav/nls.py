@@ -77,12 +77,10 @@ def nls_init(problem: NlsProblem) -> NlsState:
 
 
 def check_nls_tables(tables: NlsTables, problem: NlsProblem) -> None:
-    """Refuse tables built for another grid or from another Laplacian."""
+    """Refuse tables built for another grid (the builder already refused any
+    Laplacian but the grid's spectral one)."""
     if tables.grid != problem.grid:
         raise ValueError("tables built on a different grid")
-    if not tables.spectral_laplacian:
-        raise ValueError("tables not built from spectral_laplacian_eigenvalues(grid), "
-                         "the Laplacian of the energies")
 
 
 def _inner(a_hat: np.ndarray, b_hat: np.ndarray, grid: GridSpec) -> complex:

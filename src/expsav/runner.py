@@ -53,12 +53,14 @@ class ProblemSpec:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme = {self.scheme!r}: must be one of {', '.join(SCHEMES)}")
-        if self.cadence < 1:
-            raise ValueError(f"cadence = {self.cadence!r}: must be >= 1")
         if not (math.isfinite(self.fp_tol) and self.fp_tol > 0.0):
             raise ValueError(f"fp_tol = {self.fp_tol!r}: must be positive and finite")
-        if self.fp_max_iters < 1:
-            raise ValueError(f"fp_max_iters = {self.fp_max_iters!r}: must be >= 1")
+        for name in ("cadence", "fp_max_iters"):
+            count = getattr(self, name)
+            if not isinstance(count, (int, np.integer)):  # 2.5 is misread or fails mid-run
+                raise ValueError(f"{name} = {count!r}: must be an integer")
+            if count < 1:
+                raise ValueError(f"{name} = {count!r}: must be >= 1")
 
 
 @dataclass
@@ -117,9 +119,14 @@ def resolve(spec: ProblemSpec) -> tuple[CatalogEntry, GridSpec, object, float, f
     n_steps = int(round(t_end / tau))
     if abs(n_steps * tau - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError(f"t_end = {t_end:g} is not an integer number of steps of tau = {tau:g}")
+    named: dict[str, float] = {}
     for t_snap in spec.snapshot_times:
         if not (0.0 <= t_snap <= t_end + 1e-12):
             raise ValueError(f"snapshot time {t_snap:g} outside [0, {t_end:g}]")
+        name = _snapshot_name(t_snap)
+        if named.setdefault(name, t_snap) != t_snap:
+            raise ValueError(f"snapshot times {named[name]!r} and {t_snap!r} "
+                             f"share the file name {name}")
     problem = entry.make_problem(grid, c0)
     return entry, grid, problem, tau, t_end, n_steps
 
@@ -205,7 +212,7 @@ def run(spec: ProblemSpec) -> RunResult:
         while snap_left and st.t >= snap_left[0] - 0.5 * tau:
             target = snap_left.pop(0)
             if out_dir is not None:
-                path = out_dir / f"snapshot_t{target:g}.dat"
+                path = out_dir / _snapshot_name(target)
                 write_snapshot(path, st.u, st.t)
                 files.append(path)
 
@@ -260,6 +267,11 @@ def write_rows(path: Path, rows: list):
 def write_run_csv(path: Path, records: list[RunRecord]):
     # a name of its own because bench/tracer.py times it as runner.csv_ms
     write_rows(path, records)
+
+
+def _snapshot_name(t: float) -> str:
+    """The file name of the snapshot at time t; resolve refuses times that share one."""
+    return f"snapshot_t{t:g}.dat"
 
 
 def write_snapshot(path: Path, u: Field, t: float):

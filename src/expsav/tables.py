@@ -1,5 +1,8 @@
 """Per-mode diagonal blocks of the exponential and phi operators.
 
+The blocks are functions of the Laplacian the family's energies are written
+with, so each builder refuses any other lam (_family_eigenvalues).
+
 For the wave system the stiff linear part decouples into 2x2 blocks per
 Fourier mode. With lam <= 0 a mode's frequency is mu = |omega|*sqrt(-lam)
 and, writing x = tau*mu,
@@ -27,6 +30,7 @@ x = tau*lam, sigma = 1 at lam = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -51,7 +55,6 @@ class ExpPhiTables:
     e12: np.ndarray
     e21: np.ndarray
     p12: np.ndarray
-    fd_laplacian: bool  # lam was fd_laplacian_eigenvalues(grid); the steppers need it
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +65,6 @@ class NlsTables:
     tau: float
     expD: np.ndarray
     sigma: np.ndarray
-    spectral_laplacian: bool  # lam was spectral_laplacian_eigenvalues(grid); the steppers need it
 
 
 def sin_over_x(x: np.ndarray) -> np.ndarray:
@@ -80,31 +82,23 @@ def versine_over_x2(x: np.ndarray) -> np.ndarray:
     return 0.5 * sin_over_x(0.5 * np.asarray(x, dtype=np.float64)) ** 2
 
 
-def _checked_eigenvalues(grid: GridSpec, lam: np.ndarray, tau: float,
-                         family: np.ndarray) -> tuple[np.ndarray, bool]:
-    """lam as flat float64, once it holds one finite value per mode and tau > 0 is
-    finite, and whether it is family: the shared array itself, or equal to it."""
-    same = lam is family
-    lam = np.asarray(lam, dtype=np.float64).ravel()
-    if lam.size != grid.size:
-        raise ValueError(f"{lam.size} eigenvalues for {grid.size} modes")
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("Laplacian eigenvalues must be finite")
+def _family_eigenvalues(grid: GridSpec, lam: np.ndarray, tau: float,
+                        family: Callable[[GridSpec], np.ndarray]) -> np.ndarray:
+    """family(grid), once tau > 0 is finite and lam is that shared array or equal
+    to it; tables from any other lam would not conserve the family's energy."""
     if not (np.isfinite(tau) and tau > 0.0):  # tau <= 0.0 is False for nan
         raise ValueError(f"tau must be positive and finite, got {tau!r}")
-    return lam, bool(same or np.array_equal(lam, family))
+    own = family(grid)
+    if lam is own or np.array_equal(np.asarray(lam).ravel(), own):
+        return own
+    raise ValueError(f"tables not built from {family.__name__}(grid), "
+                     "the Laplacian of the energies")
 
 
 def build_kg_tables(grid: GridSpec, lam: np.ndarray, omega: float, tau: float) -> ExpPhiTables:
-    """Tabulate the wave-system exp/phi blocks for Laplacian eigenvalues lam.
-
-    lam is given in full mode order (grid.size entries, even in k); the
-    tables hold its half-spectrum part. Any such lam is tabulated; the
-    steppers take only tables from fd_laplacian_eigenvalues(grid).
-    """
-    lam, fd = _checked_eigenvalues(grid, lam, tau, fd_laplacian_eigenvalues(grid))
-    if np.any(lam > 0.0):
-        raise ValueError("Laplacian eigenvalues must be nonpositive")
+    """Tabulate the wave-system exp/phi blocks on the half spectrum; lam must be
+    fd_laplacian_eigenvalues(grid), or an equal copy."""
+    lam = _family_eigenvalues(grid, lam, tau, fd_laplacian_eigenvalues)
     if not np.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega!r}")
 
@@ -120,17 +114,15 @@ def build_kg_tables(grid: GridSpec, lam: np.ndarray, omega: float, tau: float) -
         e12=tau * s1,
         e21=-tau * mu2 * s1,
         p12=tau * versine_over_x2(x),
-        fd_laplacian=fd,
     )
 
 
 def build_nls_tables(grid: GridSpec, lam: np.ndarray, tau: float) -> NlsTables:
-    """Tabulate exp(i*tau*lam) and sigma for the Schroedinger stepper (which
-    takes only tables from spectral_laplacian_eigenvalues(grid))."""
-    lam, spectral = _checked_eigenvalues(grid, lam, tau, spectral_laplacian_eigenvalues(grid))
+    """Tabulate exp(i*tau*lam) and sigma for the Schroedinger stepper; lam must
+    be spectral_laplacian_eigenvalues(grid), or an equal copy."""
+    lam = _family_eigenvalues(grid, lam, tau, spectral_laplacian_eigenvalues)
     x = tau * lam
     expD = np.exp(1j * x)
     # (e^{ix} - 1)/(ix) = e^{ix/2} sin(x/2)/(x/2), exact and cancellation-free
     sigma = np.exp(0.5j * x) * sin_over_x(0.5 * x)
-    return NlsTables(grid=grid, tau=float(tau), expD=expD, sigma=sigma,
-                     spectral_laplacian=spectral)
+    return NlsTables(grid=grid, tau=float(tau), expD=expD, sigma=sigma)

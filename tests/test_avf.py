@@ -44,6 +44,15 @@ def test_config_validation():
         FixedPointConfig(max_iters=0)
 
 
+@pytest.mark.parametrize("max_iters", [2.5, 2.0, "3"])
+def test_config_refuses_an_iteration_cap_that_is_not_an_integer(max_iters):
+    # 2.5 was accepted, and the first step raised a TypeError from range()
+    with pytest.raises(ValueError, match=re.escape(
+            f"max_iters must be an integer >= 1, got {max_iters!r}")):
+        FixedPointConfig(max_iters=max_iters)
+    assert FixedPointConfig(max_iters=np.int64(3)).max_iters == 3
+
+
 def test_zero_state_converges_in_one_iteration():
     grid = make_grid(-20, 20, 64, 1)
     problem = sine_gordon_problem(grid, zero_data=True)
@@ -394,6 +403,26 @@ def test_steppers_refuse_tables_built_from_another_laplacian(family, scheme):
         step(state, 0.01)
     state, step = step_with(family, scheme, lambda grid: OWN_LAPLACIAN[family](grid).copy())
     assert step(state, 0.01).n == 1
+
+
+@pytest.mark.parametrize("scheme", ["esavs", "eavfs"])
+@pytest.mark.parametrize("family", ["wave", "nls"])
+def test_steppers_refuse_tables_built_on_another_grid(family, scheme):
+    # the builders settle the Laplacian; the grid (and the wave's omega) is what a step checks
+    problem = readme_problem() if family == "wave" else nls_problem()
+    g = problem.grid
+    other = make_grid(g.a[0], g.b[0], 2 * g.n[0], 1)
+    if family == "wave":
+        tables = build_kg_tables(other, fd_laplacian_eigenvalues(other), problem.omega, 0.01)
+        state, steppers = kg_init(problem), (kg_step, eavf_step_kg)
+    else:
+        tables = build_nls_tables(other, spectral_laplacian_eigenvalues(other), 0.01)
+        state, steppers = nls_init(problem), (nls_step, eavf_step_nls)
+    with pytest.raises(ValueError, match="tables built on a different grid"):
+        if scheme == "esavs":
+            steppers[0](state, tables, problem)
+        else:
+            steppers[1](state, tables, problem, FixedPointConfig())
 
 
 @pytest.mark.parametrize("scheme", ["esavs", "eavfs"])

@@ -453,6 +453,16 @@ def test_readme_commands_parse():
         assert args.problem in CATALOG, argv
 
 
+def test_readme_library_example_runs(capsys):
+    # the README's python block is the library example; run it as written
+    (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+    namespace: dict = {}
+    exec(compile(block, str(README), "exec"), namespace)
+    problem = namespace["problem"]
+    e0 = expsav.kg_modified_energy(expsav.kg_init(problem), problem)
+    assert float(capsys.readouterr().out) == pytest.approx(e0, rel=1e-12)
+
+
 def _readme_section(heading: str) -> str:
     return README.read_text().split(heading, 1)[1].split("\n#", 1)[0]
 
@@ -615,6 +625,30 @@ def test_cli_fixed_point_settings_fail_under_their_keys(manifest, line, tmp_path
     for flags in ([], ["-O"]):
         proc = _python(*flags, "-m", "expsav.cli", "run", "--config", str(cfg))
         assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", line)
+
+
+@pytest.mark.parametrize("settings,message", [
+    # cadence 2.5 recorded rows at t = 0, 0.05 and 0.1 with no complaint
+    (dict(cadence=2.5), "cadence = 2.5: must be an integer"),
+    (dict(cadence=1.0), "cadence = 1.0: must be an integer"),
+    # fp_max_iters 2.5 was accepted, and the first eavfs step raised a TypeError
+    (dict(scheme="eavfs", fp_max_iters=2.5), "fp_max_iters = 2.5: must be an integer"),
+])
+def test_run_settings_refuse_counts_they_would_misread(settings, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ProblemSpec(problem="sg1d", t_end=0.1, **settings)
+    spec = ProblemSpec(problem="sg1d", t_end=0.1, cadence=np.int64(2), fp_max_iters=np.int64(5))
+    assert [r.t for r in run(spec).records] == pytest.approx([0.0, 0.02, 0.04, 0.06, 0.08, 0.1])
+
+
+def test_snapshot_times_that_share_a_file_name_are_refused(tmp_path, capsys):
+    # both times wrote snapshot_t1.dat, and the CLI printed "wrote" for it twice
+    out = tmp_path / "o"
+    assert main(["run", "--problem", "sg1d", "--n", "40", "--tau", "0.1", "--t-end", "2",
+                 "--snapshots", "1.0,1.0000001", "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", "expsav: config error: snapshot times 1.0 and 1.0000001 "
+                                       "share the file name snapshot_t1.dat\n")
+    assert not out.exists()
 
 
 # the CLI, with sg1d registered once more as "nochord1d", its chord mean taken away

@@ -1,4 +1,6 @@
+import re
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 from expsav.fourier import apply_multipliers, forward_values, inverse_values
 from expsav.grids import fd_laplacian_eigenvalues, make_grid, spectral_laplacian_eigenvalues
-from expsav.tables import build_kg_tables, build_nls_tables, sin_over_x, versine_over_x2
+from expsav.tables import (ExpPhiTables, NlsTables, build_kg_tables, build_nls_tables,
+                           sin_over_x, versine_over_x2)
 
 import oracles
 
@@ -19,9 +22,22 @@ def table_as_dense(table: np.ndarray, grid) -> np.ndarray:
     return np.column_stack(cols)
 
 
+# each builder with the one Laplacian it takes
+BUILDERS = {
+    "wave": (lambda g, lam: build_kg_tables(g, lam, omega=1.0, tau=0.1), fd_laplacian_eigenvalues),
+    "nls": (lambda g, lam: build_nls_tables(g, lam, tau=0.1), spectral_laplacian_eigenvalues),
+}
+
+
+def refuses(family):
+    """pytest.raises for a builder's refusal of any lam but its family's."""
+    return pytest.raises(ValueError, match=re.escape(
+        f"tables not built from {family.__name__}(grid), the Laplacian of the energies"))
+
+
 def test_zero_mode_entries():
     g = make_grid(0, 1, 2, 1)
-    t = build_kg_tables(g, np.array([0.0, -1.0]), omega=1.0, tau=0.1)
+    t = build_kg_tables(g, fd_laplacian_eigenvalues(g), omega=1.0, tau=0.1)
     assert (t.e11[0], t.e12[0], t.e21[0]) == (1.0, 0.1, 0.0)
     assert t.e12[0] / t.tau == 1.0  # phi11
     assert t.p12[0] == pytest.approx(0.05)
@@ -37,9 +53,52 @@ def test_omega_zero_gives_shear_block():
 
 
 def test_rejects_positive_eigenvalues():
-    g = make_grid(0, 1, 2, 1)
-    with pytest.raises(ValueError):
-        build_kg_tables(g, np.array([0.0, 1.0]), omega=1.0, tau=0.1)
+    g = make_grid(0, 1, 4, 1)
+    for build, family in BUILDERS.values():
+        with refuses(family):
+            build(g, -family(g))
+
+
+@pytest.mark.parametrize("kind", ["wave", "nls"])
+def test_builders_refuse_the_other_familys_laplacian(kind):
+    # wave tables from the spectral eigenvalues drift E_mod by 1.8e-4, NLS
+    # tables from the FD eigenvalues by 2.8e-7
+    g = make_grid(0, 1, 8, 1)
+    build, family = BUILDERS[kind]
+    _, other = BUILDERS["nls" if kind == "wave" else "wave"]
+    with refuses(family):
+        build(g, other(g))
+
+
+@pytest.mark.parametrize("kind", ["wave", "nls"])
+def test_builders_refuse_eigenvalues_of_the_wrong_size(kind):
+    g = make_grid(0, 1, 8, 1)
+    build, family = BUILDERS[kind]
+    for lam in (family(g)[:-1], family(make_grid(0, 1, 16, 1)), family(make_grid(0, 1, 8, 2))):
+        with refuses(family):
+            build(g, lam)
+
+
+@pytest.mark.parametrize("kind", ["wave", "nls"])
+def test_an_equal_writable_copy_gives_bitwise_equal_tables(kind):
+    g = make_grid(-3.0, 2.0, 8, 2)
+    build, family = BUILDERS[kind]
+    copy = family(g).copy()
+    assert copy.flags.writeable
+    shared, copied = build(g, family(g)), build(g, copy)
+    for f in fields(shared):
+        a, b = getattr(shared, f.name), getattr(copied, f.name)
+        if isinstance(a, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+        else:
+            assert a == b, f.name
+
+
+def test_table_records_hold_exactly_their_fields():
+    # no record of the Laplacian: the builders take only their family's
+    assert [f.name for f in fields(ExpPhiTables)] == [
+        "grid", "tau", "omega", "e11", "e12", "e21", "p12"]
+    assert [f.name for f in fields(NlsTables)] == ["grid", "tau", "expD", "sigma"]
 
 
 @pytest.mark.parametrize("tau", [0.0, -0.1, np.nan, np.inf, -np.inf])
@@ -57,11 +116,11 @@ def test_builders_reject_a_time_step_that_is_not_positive_and_finite(tau):
 def test_builders_reject_non_finite_eigenvalues(bad):
     # nan > 0 is False, so a sign check alone let nan through to e11 and expD
     g = make_grid(0, 1, 4, 1)
-    lam = np.array([0.0, -1.0, bad, -1.0])
-    with pytest.raises(ValueError, match="Laplacian eigenvalues must be finite"):
-        build_kg_tables(g, lam, omega=1.0, tau=0.1)
-    with pytest.raises(ValueError, match="Laplacian eigenvalues must be finite"):
-        build_nls_tables(g, lam, tau=0.1)
+    for build, family in BUILDERS.values():
+        lam = family(g).copy()
+        lam[2] = bad
+        with refuses(family):
+            build(g, lam)
 
 
 def test_wave_tables_hold_four_arrays_and_their_omega():
@@ -169,17 +228,19 @@ def test_flow_property_squares():
 
 def test_nls_zero_mode():
     g = make_grid(0, 1, 2, 1)
-    t = build_nls_tables(g, np.array([0.0, -4.0]), tau=0.3)
+    t = build_nls_tables(g, spectral_laplacian_eigenvalues(g), tau=0.3)
     assert t.expD[0] == 1.0
     assert t.sigma[0] == 1.0
 
 
 def test_nls_half_turn():
-    # tau * lam = pi: expD = -1, sigma = (-1 - 1)/(i pi) = 2i/pi
-    g = make_grid(0, 1, 2, 1)
-    t = build_nls_tables(g, np.array([np.pi, 0.0]), tau=1.0)
-    assert t.expD[0] == pytest.approx(-1.0)
-    assert t.sigma[0] == pytest.approx(2j / np.pi)
+    # on [0, 2 pi) with two nodes lam = (0, -1); tau * lam = -pi: expD = -1,
+    # sigma = (-1 - 1)/(-i pi) = -2i/pi
+    g = make_grid(0, 2 * np.pi, 2, 1)
+    np.testing.assert_array_equal(spectral_laplacian_eigenvalues(g), [0.0, -1.0])
+    t = build_nls_tables(g, spectral_laplacian_eigenvalues(g), tau=np.pi)
+    assert t.expD[1] == pytest.approx(-1.0)
+    assert t.sigma[1] == pytest.approx(-2j / np.pi)
 
 
 def test_nls_unit_modulus():
@@ -200,11 +261,10 @@ def test_nls_sigma_matches_quadrature():
 
 
 @settings(deadline=None, max_examples=30)
-@given(tau=st.floats(1e-3, 1.0), omega=st.floats(0.0, 4.0), seed=st.integers(0, 2**31 - 1))
-def test_determinant_one_property(tau, omega, seed):
-    rng = np.random.default_rng(seed)
-    g = make_grid(0, 1, 8, 1)
-    lam = -np.abs(rng.normal(size=8)) * 100.0
-    t = build_kg_tables(g, lam, omega, tau)
+@given(tau=st.floats(1e-3, 1.0), omega=st.floats(0.0, 4.0), length=st.floats(0.5, 50.0))
+def test_determinant_one_property(tau, omega, length):
+    # the domain length sets the FD eigenvalues: |lam| up to 4 (8/length)^2 = 1024
+    g = make_grid(0, length, 8, 1)
+    t = build_kg_tables(g, fd_laplacian_eigenvalues(g), omega, tau)
     det = t.e11 * t.e11 - t.e12 * t.e21
     np.testing.assert_allclose(det, 1.0, atol=1e-13)
