@@ -181,12 +181,17 @@ class State:
 
 
 def sample(grid: GridSpec, fn) -> np.ndarray:
-    """Evaluate fn on the grid nodes, flat row-major.
+    """Evaluate fn on the grid nodes, flat row-major, as a new writable array.
 
-    fn takes the per-axis coordinate arrays (x in 1D, x, y in 2D).
+    fn takes the per-axis coordinates (x in 1D, x, y in 2D) broadcastable to
+    the grid, not broadcast: in 2D x has shape (n0, 1) and y (1, n1), so a
+    term in one coordinate is computed once per distinct value. fn must
+    therefore be elementwise; its result may have any shape that broadcasts
+    to the grid, a scalar included.
     """
-    out = np.asarray(fn(*grid.coords()))
-    return np.broadcast_to(out, grid.shape).ravel().copy()
+    axes = map(grid.axis_nodes, range(grid.dim))
+    out = np.asarray(fn(*np.meshgrid(*axes, indexing="ij", sparse=True)))
+    return np.broadcast_to(out, grid.shape).flatten()
 
 
 @lru_cache(maxsize=16)  # one read-only array per grid, shared by tables and energies

@@ -46,6 +46,9 @@ class KgProblem:
     sum_G_and_Gp(u), if set, returns (sum of G(u), Gp(u)) at flat node values
     u from one pass and must not write into u; the SAV step then calls it
     instead of G and Gp.
+    phi1 and phi2 are sampled by grids.sample: they take the coordinates
+    broadcastable to the grid (x in 1D; x of shape (n0, 1), y of (1, n1) in
+    2D) and must act elementwise.
     """
 
     grid: GridSpec

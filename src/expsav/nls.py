@@ -39,7 +39,12 @@ _SINGULAR_TOL = 1e-14
 
 @dataclass(frozen=True)
 class NlsProblem:
-    """Cubic Schroedinger equation with nonlinearity strength beta."""
+    """Cubic Schroedinger equation with nonlinearity strength beta.
+
+    The initial data u0 is sampled by grids.sample: it takes the coordinates
+    broadcastable to the grid (x in 1D; x of shape (n0, 1), y of (1, n1) in
+    2D) and must act elementwise.
+    """
 
     grid: GridSpec
     beta: float

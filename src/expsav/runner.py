@@ -249,7 +249,7 @@ def run(spec: ProblemSpec) -> RunResult:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, np.integer, str)):  # np.int64 is no int
         return str(value)
     if not math.isfinite(value):
         raise SolverError(f"non-finite diagnostic {value!r}; refusing to write it")

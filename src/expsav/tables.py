@@ -21,6 +21,15 @@ spectrum (numpy's rfftn layout, see fourier.py): the eigenvalues are even
 in k and a block depends on the mode only through its eigenvalue, so the
 conjugate half is redundant.
 
+Both builders evaluate their formulas on rows 0..r/2 of a table's r rows
+only, and copy row j to row r - j. The wave tables' rows are those of the
+half spectrum viewed as (-1, n_last//2 + 1): r = n0 in 2D, and r = 1 in 1D,
+which has no mirror. The NLS tables view the full spectrum as (n0, -1), so
+r = n0. The mirror is exact: lam is bitwise even along that axis (the FD
+sine is taken at min(j, N - j), and the spectral symbol is (c*k)^2 =
+(c*(-k))^2), and each entry is an elementwise function of lam, so the
+mirrored tables have the bytes of the formulas evaluated on every mode.
+
 For the Schroedinger system the linear flow is the unitary phase
 exp(i*tau*lam) per mode and its step average is
 sigma = (exp(i*tau*lam) - 1)/(i*tau*lam) = exp(i*x/2)*s1(x/2) with
@@ -95,6 +104,11 @@ def _family_eigenvalues(grid: GridSpec, lam: np.ndarray, tau: float,
                      "the Laplacian of the energies")
 
 
+def _mirrored(t: np.ndarray) -> np.ndarray:
+    """The flat table of r rows from t, its rows 0..r/2: row r - j is row j."""
+    return np.concatenate([t, t[-2:0:-1]]).ravel()
+
+
 def build_kg_tables(grid: GridSpec, lam: np.ndarray, omega: float, tau: float) -> ExpPhiTables:
     """Tabulate the wave-system exp/phi blocks on the half spectrum; lam must be
     fd_laplacian_eigenvalues(grid), or an equal copy."""
@@ -102,7 +116,8 @@ def build_kg_tables(grid: GridSpec, lam: np.ndarray, omega: float, tau: float) -
     if not np.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega!r}")
 
-    mu2 = omega * omega * (-half_spectrum(lam, grid))
+    half = half_spectrum(lam, grid).reshape(-1, grid.shape[-1] // 2 + 1)
+    mu2 = omega * omega * (-half[: len(half) // 2 + 1])
     mu = np.sqrt(mu2)
     x = tau * mu
     s1 = sin_over_x(x)
@@ -110,10 +125,10 @@ def build_kg_tables(grid: GridSpec, lam: np.ndarray, omega: float, tau: float) -
         grid=grid,
         tau=float(tau),
         omega=float(omega),
-        e11=np.cos(x),
-        e12=tau * s1,
-        e21=-tau * mu2 * s1,
-        p12=tau * versine_over_x2(x),
+        e11=_mirrored(np.cos(x)),
+        e12=_mirrored(tau * s1),
+        e21=_mirrored(-tau * mu2 * s1),
+        p12=_mirrored(tau * versine_over_x2(x)),
     )
 
 
@@ -121,8 +136,9 @@ def build_nls_tables(grid: GridSpec, lam: np.ndarray, tau: float) -> NlsTables:
     """Tabulate exp(i*tau*lam) and sigma for the Schroedinger stepper; lam must
     be spectral_laplacian_eigenvalues(grid), or an equal copy."""
     lam = _family_eigenvalues(grid, lam, tau, spectral_laplacian_eigenvalues)
-    x = tau * lam
+    n0 = grid.shape[0]
+    x = tau * lam.reshape(n0, -1)[: n0 // 2 + 1]
     expD = np.exp(1j * x)
     # (e^{ix} - 1)/(ix) = e^{ix/2} sin(x/2)/(x/2), exact and cancellation-free
     sigma = np.exp(0.5j * x) * sin_over_x(0.5 * x)
-    return NlsTables(grid=grid, tau=float(tau), expD=expD, sigma=sigma)
+    return NlsTables(grid=grid, tau=float(tau), expD=_mirrored(expD), sigma=_mirrored(sigma))

@@ -222,3 +222,32 @@ def dense_nls_step(state, problem, lam: np.ndarray, tau: float):
     q_half = 0.5 * (x + y) + q - 0.5 * (ip(gamma, u) + ip(u, gamma))
     q_new = 2.0 * q_half.real - q
     return u_new, q_new
+
+
+def _sin_over_x(x: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s1 = np.sin(x) / x
+    s1[x == 0.0] = 1.0
+    return s1
+
+
+def kg_tables_per_mode(grid: GridSpec, lam: np.ndarray, omega: float, tau: float) -> dict:
+    """The wave tables' formulas evaluated on every mode of the half spectrum.
+
+    The same operands in the same order as the builder, with no mirror, so
+    the arrays are the builder's bit for bit.
+    """
+    n_last = grid.shape[-1]
+    half = lam.reshape(-1, n_last)[:, : n_last // 2 + 1].ravel()
+    mu2 = omega * omega * (-half)
+    mu = np.sqrt(mu2)
+    x = tau * mu
+    s1 = _sin_over_x(x)
+    return {"e11": np.cos(x), "e12": tau * s1, "e21": -tau * mu2 * s1,
+            "p12": tau * (0.5 * _sin_over_x(0.5 * x) ** 2)}
+
+
+def nls_tables_per_mode(lam: np.ndarray, tau: float) -> dict:
+    """exp(i tau lam) and sigma evaluated on every mode, as the builder's formulas."""
+    x = tau * lam
+    return {"expD": np.exp(1j * x), "sigma": np.exp(0.5j * x) * _sin_over_x(0.5 * x)}

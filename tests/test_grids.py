@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expsav.catalog import CATALOG
 from expsav.errors import SolverError
-from expsav.grids import (Field, GridSpec, State, fd_laplacian_eigenvalues, make_grid,
+from expsav.grids import (Field, GridSpec, State, fd_laplacian_eigenvalues, make_grid, sample,
                           spectral_laplacian_eigenvalues)
 from expsav.kg import KgState
 from expsav.nls import NlsState
@@ -204,3 +205,44 @@ def test_summation_by_parts(dim, n):
     rhs = -g.cell * float(np.sum(b2u.ravel() * vals))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
+
+
+def test_sample_passes_coordinates_broadcastable_to_the_grid():
+    # one value per node of an axis, not one per grid node: in 2D x is a
+    # column and y a row
+    seen = []
+
+    def record(*coords):
+        seen.append([c.shape for c in coords])
+        return 0.0
+
+    sample(GridSpec(a=(-1.0, 0.0), b=(2.0, 3.0), n=(6, 4)), record)
+    sample(make_grid(0.0, 1.0, 8), record)
+    assert seen == [[(6, 1), (1, 4)], [(8,)]]
+
+
+@pytest.mark.parametrize("result", ["scalar", "column", "full"])
+def test_sample_returns_a_new_flat_writable_array(result):
+    grid = GridSpec(a=(-1.0, 0.0), b=(2.0, 3.0), n=(6, 4))
+    x, y = grid.coords()
+    fns = {"scalar": lambda x, y: 2.5, "column": lambda x, y: 3.0 * x,
+           "full": lambda x, y: x * y}
+    want = np.broadcast_to(fns[result](x, y), grid.shape).ravel()
+    got = sample(grid, fns[result])
+    assert got.shape == (grid.size,)
+    assert got.flags.writeable and got.flags.c_contiguous and got.flags.owndata
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("problem_id", sorted(CATALOG))
+def test_catalog_initial_data_are_their_values_on_the_full_coordinates(problem_id):
+    entry = CATALOG[problem_id]
+    small = (6, 4) if entry.dim == 2 else (6,)
+    for grid in (entry.make_grid(), GridSpec(a=(entry.a,) * entry.dim, b=(entry.b,) * entry.dim,
+                                             n=small)):
+        problem = entry.make_problem(grid, entry.default_c0)
+        for name in ("phi1", "phi2") if entry.kind == "wave" else ("u0",):
+            fn = getattr(problem, name)
+            got = sample(grid, fn)
+            want = np.broadcast_to(fn(*grid.coords()), grid.shape).ravel()
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), (grid.n, name)

@@ -186,3 +186,20 @@ def test_transforms_only_in_fourier():
                         and any(alias.name == "fft" for alias in node.names))):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_set_up_samples_on_broadcastable_coordinates():
+    # a full coordinate array per axis costs a grid-sized pass for each; set-up
+    # code takes the sparse meshgrid (grids.sample). GridSpec.coords keeps the
+    # full arrays for callers outside the package.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for scope, node in scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
+            if (not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute))
+                    or f"{path.stem}.{scope}" == "grids.GridSpec.coords"):
+                continue
+            sparse = any(kw.arg == "sparse" and isinstance(kw.value, ast.Constant)
+                         and kw.value.value is True for kw in node.keywords)
+            if node.func.attr == "coords" or (node.func.attr == "meshgrid" and not sparse):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

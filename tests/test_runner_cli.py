@@ -17,7 +17,7 @@ from expsav.catalog import CATALOG, CatalogEntry, get_entry, register
 from expsav.cli import build_parser, main
 from expsav.errors import SolverError
 from expsav.runner import (MANIFEST_KEYS, ProblemSpec, _fmt, compare_driver, convergence_driver,
-                           parse_manifest, run, spec_from_mapping)
+                           parse_manifest, run, spec_from_mapping, write_rows)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -216,6 +216,8 @@ FMT_CASES = [
     (np.float64(0.1), "1.0000000000000001e-01"),
     (-7.0, "-7.0000000000000000e+00"),
     (42, "42"),
+    (np.int64(42), "42"),
+    (np.int32(-7), "-7"),
     (None, ""),
 ]
 
@@ -229,6 +231,16 @@ def test_fmt_refuses_a_nonfinite_value(value):
     with pytest.raises(SolverError,
                        match=re.escape(f"non-finite diagnostic {value!r}; refusing to write it")):
         _fmt(value)
+
+
+def test_rows_print_a_numpy_node_count_as_an_integer(tmp_path):
+    # the specs take numpy counts, and the ladder's n was written 1.0000000000000000e+02
+    rows = convergence_driver(ProblemSpec(problem="sg1d", n=np.int64(100), tau=0.04, t_end=0.4),
+                              levels=2)
+    write_rows(tmp_path / "ladder.csv", rows)
+    lines = (tmp_path / "ladder.csv").read_text().splitlines()
+    names = lines[0].split(",")
+    assert [line.split(",")[names.index("n")] for line in lines[1:]] == ["100", "200"]
 
 
 def test_compare_driver_sg1d_short():

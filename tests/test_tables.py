@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expsav.fourier import apply_multipliers, forward_values, inverse_values
-from expsav.grids import fd_laplacian_eigenvalues, make_grid, spectral_laplacian_eigenvalues
+from expsav.grids import (GridSpec, fd_laplacian_eigenvalues, make_grid,
+                          spectral_laplacian_eigenvalues)
 from expsav.tables import (ExpPhiTables, NlsTables, build_kg_tables, build_nls_tables,
                            sin_over_x, versine_over_x2)
 
@@ -159,22 +160,61 @@ def test_determinant_one_blocks():
     np.testing.assert_allclose(det, 1.0, atol=1e-13)
 
 
-@pytest.mark.parametrize("dim,n", [(1, 8), (1, 64), (2, 8), (2, 16)])
-def test_blocks_even_in_k(dim, n):
-    # D_k = D_{-k} bit for bit along every axis, so the blocks map real fields
-    # to real fields. The half layout stores only k >= 0 of the last axis,
-    # which takes that evenness for granted; the leading axis is stored whole
-    # and is checked on the tables.
+def table_arrays(tables) -> dict:
+    return {f.name: getattr(tables, f.name) for f in fields(tables)
+            if isinstance(getattr(tables, f.name), np.ndarray)}
+
+
+# the wave cases keep their plain ids
+@pytest.mark.parametrize("kind,dim,n", [
+    pytest.param(kind, dim, n, id=f"{dim}-{n}" if kind == "wave" else f"{kind}-{dim}-{n}")
+    for kind in ("wave", "nls") for dim, n in [(1, 8), (1, 64), (2, 8), (2, 16)]])
+def test_blocks_even_in_k(kind, dim, n):
+    # D_k = D_{-k} bit for bit along every axis, so the wave blocks map real
+    # fields to real fields and both builders may mirror the leading axis.
+    # The wave half layout stores only k >= 0 of the last axis, which takes
+    # that evenness for granted; every axis stored whole is checked on the tables.
     mirror = lambda a, axis: np.flip(np.roll(a, -1, axis=axis), axis=axis)  # a at -k
     g = make_grid(-3.0, 2.0, n, dim)
-    lam = fd_laplacian_eigenvalues(g)
+    _, family = BUILDERS[kind]
+    lam = family(g)
     full = lam.reshape(g.shape)
     for axis in range(dim):
         np.testing.assert_array_equal(full, mirror(full, axis), err_msg=f"lam along {axis}")
-    t = build_kg_tables(g, lam, omega=1.3, tau=0.4)
-    for name in ("e11", "e12", "e21", "p12"):
-        block = getattr(t, name).reshape(-1, n // 2 + 1)
-        np.testing.assert_array_equal(block, mirror(block, 0), err_msg=name)
+    if kind == "wave":
+        t, shape, axes = build_kg_tables(g, lam, omega=1.3, tau=0.4), (-1, n // 2 + 1), [0]
+    else:
+        t, shape, axes = build_nls_tables(g, lam, tau=0.4), g.shape, range(dim)
+    for name, table in table_arrays(t).items():
+        block = table.reshape(shape)
+        for axis in axes:
+            np.testing.assert_array_equal(block, mirror(block, axis), err_msg=f"{name} along {axis}")
+
+
+# leading-axis sizes 1 (the 1D wave half spectrum), 2, 4, 6 and 200, square and not
+TABLE_GRIDS = [(2,), (4,), (6,), (200,), (2, 6), (4, 4), (6, 4), (4, 6), (200, 8), (200, 200)]
+
+
+@pytest.mark.parametrize("shape", TABLE_GRIDS, ids=lambda shape: "x".join(map(str, shape)))
+def test_tables_are_their_formulas_on_every_mode_bit_for_bit(shape):
+    # the builders evaluate rows 0..r/2 of the leading axis and mirror the rest
+    g = GridSpec(a=(-3.0,) * len(shape), b=(2.0,) * len(shape), n=shape)
+    lam = fd_laplacian_eigenvalues(g)
+    for omega, tau in [(1.0, 0.1), (2.3, 0.37)]:
+        got = table_arrays(build_kg_tables(g, lam, omega, tau))
+        want = oracles.kg_tables_per_mode(g, lam, omega, tau)
+        assert got.keys() == want.keys()
+        for name, table in want.items():
+            assert (got[name].dtype, got[name].shape, got[name].tobytes()) == (
+                table.dtype, table.shape, table.tobytes()), f"wave {name}"
+    lam = spectral_laplacian_eigenvalues(g)
+    for tau in (0.1, 0.37):
+        got = table_arrays(build_nls_tables(g, lam, tau))
+        want = oracles.nls_tables_per_mode(lam, tau)
+        assert got.keys() == want.keys()
+        for name, table in want.items():
+            assert (got[name].dtype, got[name].shape, got[name].tobytes()) == (
+                table.dtype, table.shape, table.tobytes()), f"nls {name}"
 
 
 def test_series_branch_consistency():
