@@ -46,7 +46,7 @@ from .errors import SolverError
 # unused here; kept only because bench/tracer.py patches avf.apply_multipliers
 from .fourier import apply_multipliers  # noqa: F401
 from .fourier import forward_values, inverse_values, real_part
-from .kg import KgProblem, KgState, check_kg_tables, linear_flow
+from .kg import KgProblem, KgState, check_kg_tables, linear_flow, potential
 from .nls import NlsProblem, NlsState, check_nls_tables, quartic_sum
 from .tables import ExpPhiTables, NlsTables
 
@@ -159,7 +159,7 @@ def eavf_step_kg(state: KgState, tables: ExpPhiTables, problem: KgProblem,
     fv_new = fzv - tables.e12 * ffb
 
     # q is not evolved by this scheme; keep it consistent with its definition
-    radicand = grid.cell * float(np.sum(problem.G(u_new))) + problem.C0
+    radicand = potential(problem, u_new)[0] + problem.C0
     return state.advance(tau, u_new, np.sqrt(radicand), u_spectrum=fu_new,
                          corrections=kept, v_spectrum=fv_new), it
 
@@ -174,6 +174,6 @@ def eavf_step_nls(state: NlsState, tables: NlsTables, problem: NlsProblem,
     u_new, fu_new, kept, it = _solve(
         state, tables.expD * state.u_spectrum, tables.sigma, 1j * problem.beta * tables.tau,
         lambda w: avf_gradient_nls(u, w), lambda f: inverse_values(f, grid), cfg)
-    radicand = quartic_sum(u_new, grid) + problem.C0
+    radicand = quartic_sum(u_new, grid)[0] + problem.C0
     return state.advance(tables.tau, u_new, np.sqrt(radicand), u_spectrum=fu_new,
                          corrections=kept), it

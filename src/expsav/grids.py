@@ -186,11 +186,16 @@ def sample(grid: GridSpec, fn) -> np.ndarray:
     fn takes the per-axis coordinates (x in 1D, x, y in 2D) broadcastable to
     the grid, not broadcast: in 2D x has shape (n0, 1) and y (1, n1), so a
     term in one coordinate is computed once per distinct value. fn must
-    therefore be elementwise; its result may have any shape that broadcasts
-    to the grid, a scalar included.
+    therefore be elementwise: its result is a scalar or has one axis per grid
+    axis, each of length 1 or the grid's, and any other shape is refused
+    (ValueError).
     """
     axes = map(grid.axis_nodes, range(grid.dim))
     out = np.asarray(fn(*np.meshgrid(*axes, indexing="ij", sparse=True)))
+    if out.ndim and (out.ndim != grid.dim
+                     or any(m not in (1, n) for m, n in zip(out.shape, grid.shape))):
+        raise ValueError(f"a callable returned shape {out.shape} on a grid of shape "
+                         f"{grid.shape}; initial data callables must act elementwise")
     return np.broadcast_to(out, grid.shape).flatten()
 
 

@@ -12,12 +12,11 @@ kernel -tau phi12, and its denominator must be positive. The velocity is
 
     v' = e21 u + e11 v - (tau (q+q')/(2 s)) * phi11 w    (e22 = e11, phi22 = phi11 = e12/tau),
 
-a half spectrum: a step makes two real FFTs. KgProblem.sum_G_and_Gp, when
-set, gives <G(uhat), 1> and w from one call (the catalog's pairs);
-otherwise G and Gp are called in turn. u' is formed in the buffer of
-phi12 w and v' in that of zv. Every reduction is an einsum, not a BLAS
-dot, whose threaded sum order would make the last bits depend on the
-BLAS thread count.
+a half spectrum: a step makes two real FFTs. Set-up, step, E_orig and the
+eavfs q read <G(u), 1> and G'(u) through potential() alone. u' is formed
+in the buffer of phi12 w and v' in that of zv. Every reduction is an
+einsum, not a BLAS dot, whose threaded sum order would make the last bits
+depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -44,11 +43,11 @@ class KgProblem:
     from a to b, (G(b) - G(a))/(b - a), and equals Gp(a) at a = b. The
     implicit baseline (eavfs) requires it; the SAV step ignores it.
     sum_G_and_Gp(u), if set, returns (sum of G(u), Gp(u)) at flat node values
-    u from one pass and must not write into u; the SAV step then calls it
-    instead of G and Gp.
+    u from one pass and must not write into u; potential() then calls it
+    instead of G and Gp, for every reader of the potential.
     phi1 and phi2 are sampled by grids.sample: they take the coordinates
     broadcastable to the grid (x in 1D; x of shape (n0, 1), y of (1, n1) in
-    2D) and must act elementwise.
+    2D), must act elementwise and must return real values.
     """
 
     grid: GridSpec
@@ -84,12 +83,24 @@ class KgState(State):
         return forward_values(self.v.values, self.u.grid)
 
 
+def potential(problem: KgProblem, u: np.ndarray) -> tuple[float, np.ndarray]:
+    """(<G(u), 1>, G'(u)) at flat node values u, from the problem's pair if set."""
+    if problem.sum_G_and_Gp is not None:
+        total, gp = problem.sum_G_and_Gp(u)
+    else:
+        total, gp = float(np.sum(problem.G(u))), problem.Gp(u)
+    return problem.grid.cell * total, gp
+
+
 def kg_init(problem: KgProblem) -> KgState:
     """Sample the initial data and the consistent auxiliary value q(0)."""
     grid = problem.grid
     u0 = sample(grid, problem.phi1)
     v0 = sample(grid, problem.phi2)
-    radicand = grid.cell * float(np.sum(problem.G(u0))) + problem.C0
+    for name, values in (("phi1", u0), ("phi2", v0)):
+        if np.iscomplexobj(values):
+            raise ValueError(f"{name} returned complex values; wave initial data must be real")
+    radicand = potential(problem, u0)[0] + problem.C0
     if not 0.0 < radicand < np.inf:
         raise ValueError(
             f"<G(u0), 1> + C0 = {radicand:g} is not finite and positive; check C0 and G >= 0"
@@ -157,12 +168,8 @@ def check_kg_tables(tables: ExpPhiTables, problem: KgProblem) -> None:
 def kg_step(state: KgState, tables: ExpPhiTables, problem: KgProblem) -> KgState:
     """Advance one step of size tables.tau; returns the new state."""
     check_kg_tables(tables, problem)
-    uhat = state.predictor()
-    if problem.sum_G_and_Gp is not None:
-        sum_g, w = problem.sum_G_and_Gp(uhat)
-    else:
-        sum_g, w = float(np.sum(problem.G(uhat))), problem.Gp(uhat)
-    s2 = require_positive(problem.grid.cell * sum_g + problem.C0, "<G(uhat), 1> + C0")
+    g, w = potential(problem, state.predictor())
+    s2 = require_positive(g + problem.C0, "<G(uhat), 1> + C0")
 
     fzu, fzv = linear_flow(state.u_spectrum, state.v_spectrum, tables)
     fu_new, fw, q_new, v_factor = sav_solve(
@@ -199,5 +206,4 @@ def kg_original_energy(state: KgState, problem: KgProblem) -> float:
 
     Monitored only: the SAV stepper conserves the modified energy, not this.
     """
-    potential = state.u.grid.cell * float(np.sum(problem.G(state.u.values)))
-    return _quadratic_energy(state, problem) + potential
+    return _quadratic_energy(state, problem) + potential(problem, state.u.values)[0]

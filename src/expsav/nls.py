@@ -62,17 +62,18 @@ NlsState = State
 # The catalog's NLS arrays sit below OpenBLAS's threading threshold, so
 # their run.csv bytes match at 1 and 2 threads.
 
-def quartic_sum(u: np.ndarray, grid: GridSpec) -> float:
-    """<|u|^4, 1> as cell * sum (re^2 + im^2)^2: products, no hypot and no pow."""
+def quartic_sum(u: np.ndarray, grid: GridSpec) -> tuple[float, np.ndarray]:
+    """(<|u|^4, 1>, |u|^2): cell * sum (re^2 + im^2)^2 from products, no hypot
+    and no pow."""
     a2 = u.real * u.real + u.imag * u.imag
-    return grid.cell * float(np.dot(a2, a2))
+    return grid.cell * float(np.dot(a2, a2)), a2
 
 
 def nls_init(problem: NlsProblem) -> NlsState:
     """Sample u0 and the consistent q(0) = sqrt(<|u0|^4, 1> + C0)."""
     grid = problem.grid
     u0 = sample(grid, problem.u0).astype(np.complex128)
-    radicand = quartic_sum(u0, grid) + problem.C0
+    radicand = quartic_sum(u0, grid)[0] + problem.C0
     if not 0.0 < radicand < np.inf:
         raise ValueError(
             f"<|u0|^4, 1> + C0 = {radicand:g} is not finite and positive; check C0"
@@ -109,8 +110,8 @@ def nls_step(state: NlsState, tables: NlsTables, problem: NlsProblem) -> NlsStat
     check_nls_tables(tables, problem)
     grid = problem.grid
     uhat = state.predictor()
-    abs2 = uhat.real * uhat.real + uhat.imag * uhat.imag
-    s2 = require_positive(grid.cell * float(np.dot(abs2, abs2)) + problem.C0, "<|uhat|^4, 1> + C0")
+    quartic, abs2 = quartic_sum(uhat, grid)
+    s2 = require_positive(quartic + problem.C0, "<|uhat|^4, 1> + C0")
     abs2 *= 4.0
     fu_new, _, q_new, _ = sav_solve(state, abs2 * uhat, s2, tables.expD * state.u_spectrum,
                                     tables.sigma, 0.25j * problem.beta * tables.tau,
@@ -138,5 +139,5 @@ def nls_modified_energy(state: NlsState, problem: NlsProblem) -> float:
 
 def nls_hamiltonian(state: NlsState, problem: NlsProblem) -> float:
     """Discrete Hamiltonian <Lap u, u> + beta/2 <|u|^4, 1> (monitored only)."""
-    quartic = quartic_sum(state.u.values, problem.grid)
+    quartic = quartic_sum(state.u.values, problem.grid)[0]
     return nls_kinetic(state, problem) + 0.5 * problem.beta * quartic

@@ -183,6 +183,45 @@ def test_eavfs_iteration_totals_at_catalog_defaults(problem_id, most):
     assert run(ProblemSpec(problem=problem_id, scheme="eavfs")).total_iters <= most
 
 
+@pytest.mark.parametrize("problem_id", ["sg2d_ring", "kg2d_cubic", "nls1d_soliton",
+                                        "nls2d_planewave"])
+def test_eavfs_step_budget(problem_id, transforms):
+    # avf.py's count: 2 iters + 2 transforms (wave) or 2 iters + 1 (NLS, no
+    # chord average for v'). A wave step calls the chord mean once per
+    # iteration and once for v', the pair once for q, and neither kernel alone.
+    entry = get_entry(problem_id)
+    grid = entry.make_grid(16)
+    problem = entry.make_problem(grid, entry.default_c0)
+    wave = entry.kind == "wave"
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    if wave:
+        problem = dataclasses.replace(
+            problem, G=counted("G", problem.G), Gp=counted("Gp", problem.Gp),
+            sum_G_and_Gp=counted("pair", problem.sum_G_and_Gp),
+            chord_mean=counted("chord_mean", problem.chord_mean))
+        tables = build_kg_tables(grid, fd_laplacian_eigenvalues(grid), 1.0, entry.default_tau)
+        state, step = kg_init(problem), eavf_step_kg
+    else:
+        tables = build_nls_tables(grid, spectral_laplacian_eigenvalues(grid), entry.default_tau)
+        state, step = nls_init(problem), eavf_step_nls
+    # the initial state forms its spectra before the count
+    state.u_spectrum, getattr(state, "v_spectrum", None)
+    for _ in range(3):
+        transforms.clear()
+        calls.clear()
+        state, iters = step(state, tables, problem, FixedPointConfig())
+        assert iters >= 2
+        assert len(transforms) == 2 * iters + 1 + wave
+        assert sorted(calls) == (["chord_mean"] * (iters + 1) + ["pair"] if wave else [])
+
+
 def test_discrete_gradient_identity_kg():
     # <fbar, u' - u> = <G(u') - G(u), 1> is the chain-rule surrogate
     rng = np.random.default_rng(11)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -232,6 +234,19 @@ def test_sample_returns_a_new_flat_writable_array(result):
     assert got.shape == (grid.size,)
     assert got.flags.writeable and got.flags.c_contiguous and got.flags.owndata
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("n,fn,shape", [
+    # a square grid hides the misread: len(x) = n1, so the rows would pass
+    ((4, 4), lambda x, y: np.arange(len(x)), (4,)),
+    ((4, 6), lambda x, y: np.arange(x.size), (4,)),
+    ((4, 6), lambda x, y: np.zeros((4, 3)), (4, 3)),
+    ((4, 6), lambda x, y: np.zeros((1, 4, 6)), (1, 4, 6)),
+], ids=["rows-square", "rows", "wrong-length", "extra-axis"])
+def test_sample_refuses_what_an_elementwise_callable_cannot_return(n, fn, shape):
+    grid = GridSpec(a=(0.0, 0.0), b=(1.0, 1.0), n=n)
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape}") + ".*must act elementwise"):
+        sample(grid, fn)
 
 
 @pytest.mark.parametrize("problem_id", sorted(CATALOG))

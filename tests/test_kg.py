@@ -163,6 +163,18 @@ def test_init_rejects_nonpositive_radicand():
         kg_init(problem)
 
 
+@pytest.mark.parametrize("name", ["phi1", "phi2"])
+def test_init_refuses_complex_initial_data(name):
+    # unrefused, q dropped the imaginary part with a ComplexWarning and the
+    # first step failed on a half spectrum of the wrong length
+    problem = sine_gordon_problem(make_grid(0.0, 2.0 * np.pi, 8, 1))
+    problem = dataclasses.replace(problem, **{name: lambda x: 0.1 * np.exp(1j * x)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{name} returned complex values"):
+            kg_init(problem)
+
+
 # ---------------------------------------------------------------- predictor
 
 

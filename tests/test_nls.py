@@ -63,7 +63,9 @@ def test_quartic_sum_matches_abs_pow():
     grid = make_grid(-2, 3, 32, 2)
     u = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
     want = grid.cell * np.sum(np.abs(u) ** 4)
-    assert quartic_sum(u, grid) == pytest.approx(want, rel=1e-14, abs=0.0)
+    total, abs2 = quartic_sum(u, grid)
+    assert total == pytest.approx(want, rel=1e-14, abs=0.0)
+    np.testing.assert_allclose(abs2, np.abs(u) ** 2, rtol=1e-15, atol=0.0)
 
 
 def test_init_rejects_nonpositive_radicand():

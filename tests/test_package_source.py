@@ -203,3 +203,15 @@ def test_set_up_samples_on_broadcastable_coordinates():
             if node.func.attr == "coords" or (node.func.attr == "meshgrid" and not sparse):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_one_function_reads_the_wave_potential():
+    # <G(u), 1> and G'(u) are formed in kg.potential alone, from the problem's
+    # pair when it is set: set-up, step, E_orig and the eavfs q all call it
+    readers = {
+        f"{path.stem}.{scope}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope, node in scoped_nodes(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("G", "Gp", "sum_G_and_Gp")
+    }
+    assert readers == {"kg.potential"}
