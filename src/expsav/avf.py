@@ -46,8 +46,9 @@ from .errors import SolverError
 # unused here; kept only because bench/tracer.py patches avf.apply_multipliers
 from .fourier import apply_multipliers  # noqa: F401
 from .fourier import forward_values, inverse_values, real_part
+from .grids import State
 from .kg import KgProblem, KgState, check_kg_tables, linear_flow, potential
-from .nls import NlsProblem, NlsState, check_nls_tables, quartic_sum
+from .nls import NlsProblem, check_nls_tables, quartic_sum
 from .tables import ExpPhiTables, NlsTables
 
 
@@ -165,8 +166,8 @@ def eavf_step_kg(state: KgState, tables: ExpPhiTables, problem: KgProblem,
 
 
 @np.errstate(all="ignore")
-def eavf_step_nls(state: NlsState, tables: NlsTables, problem: NlsProblem,
-                  cfg: FixedPointConfig) -> tuple[NlsState, int]:
+def eavf_step_nls(state: State, tables: NlsTables, problem: NlsProblem,
+                  cfg: FixedPointConfig) -> tuple[State, int]:
     """One implicit step of the Schroedinger baseline; returns (state, iterations)."""
     check_nls_tables(tables, problem)
     grid = problem.grid

@@ -19,8 +19,8 @@ Two layouts share these functions, chosen by the data type:
   flattened row-major to shape[:-1] + (n//2 + 1,). The other half is the
   complex conjugate and is not stored. A multiplier table that acts on
   half spectra must be real and even in k, so the operator maps real
-  fields to real fields; half_spectrum cuts such a table from its full
-  layout.
+  fields to real fields; half_rows views such a table's half-spectrum
+  columns in its full layout.
 
 When the last axis has 2 nodes the half spectrum is the full one; it then
 inverts through the complex path, which is exact there, and real_part
@@ -50,14 +50,14 @@ if TYPE_CHECKING:
 
 
 def _half_shape(grid: GridSpec) -> tuple[int, ...]:
-    return (*grid.shape[:-1], grid.shape[-1] // 2 + 1)
+    return (*grid.n[:-1], grid.n[-1] // 2 + 1)
 
 
 def forward_values(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Mode coefficients of flat node values: half spectrum if real, full if complex."""
     if values.size != grid.size:
         raise ValueError(f"{values.size} values for {grid.size} nodes")
-    x = values.reshape(grid.shape)
+    x = values.reshape(grid.n)
     out = np.fft.fft(x) if np.iscomplexobj(x) else np.fft.rfft(x)
     if grid.dim == 2:
         np.fft.fft(out, axis=0, out=out)
@@ -71,8 +71,8 @@ def inverse_values(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
         if grid.dim == 2:
             # the one intermediate: irfft cannot write real values over it
             x = np.fft.ifft(x, axis=0)
-        return np.fft.irfft(x, n=grid.shape[-1]).ravel()
-    out = np.fft.ifft(coeffs.reshape(grid.shape))
+        return np.fft.irfft(x, n=grid.n[-1]).ravel()
+    out = np.fft.ifft(coeffs.reshape(grid.n))
     if grid.dim == 2:
         np.fft.ifft(out, axis=0, out=out)
     return out.ravel()
@@ -88,9 +88,11 @@ def apply_multipliers(values: np.ndarray, multipliers: np.ndarray, grid: GridSpe
     return inverse_values(multipliers * forward_values(values, grid), grid)
 
 
-def half_spectrum(full: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """The half-spectrum part of a flat full-spectrum array, e.g. a table even in k."""
-    return full.reshape(-1, grid.shape[-1])[:, : _half_shape(grid)[-1]].ravel()
+def half_rows(full: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """A view of the half-spectrum columns of a flat full-layout array (e.g. a
+    table even in k), one row per mode of the leading axes: shape
+    (-1, n_last//2 + 1), which a half spectrum takes by reshape(view.shape)."""
+    return full.reshape(-1, grid.n[-1])[:, : _half_shape(grid)[-1]]
 
 
 def half_inner(a_hat: np.ndarray, b_hat: np.ndarray, grid: GridSpec) -> float:

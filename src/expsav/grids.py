@@ -59,10 +59,6 @@ class GridSpec:
         """Total node count."""
         return math.prod(self.n)
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.n
-
     def axis_nodes(self, axis: int) -> np.ndarray:
         """Node coordinates along one axis (right endpoint excluded)."""
         lo = self.a[axis]
@@ -193,10 +189,10 @@ def sample(grid: GridSpec, fn) -> np.ndarray:
     axes = map(grid.axis_nodes, range(grid.dim))
     out = np.asarray(fn(*np.meshgrid(*axes, indexing="ij", sparse=True)))
     if out.ndim and (out.ndim != grid.dim
-                     or any(m not in (1, n) for m, n in zip(out.shape, grid.shape))):
+                     or any(m not in (1, n) for m, n in zip(out.shape, grid.n))):
         raise ValueError(f"a callable returned shape {out.shape} on a grid of shape "
-                         f"{grid.shape}; initial data callables must act elementwise")
-    return np.broadcast_to(out, grid.shape).flatten()
+                         f"{grid.n}; initial data callables must act elementwise")
+    return np.broadcast_to(out, grid.n).flatten()
 
 
 @lru_cache(maxsize=16)  # one read-only array per grid, shared by tables and energies

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import require_positive
-from .fourier import forward_values, half_inner, inverse_values, real_part
+from .fourier import forward_values, half_inner, half_rows, inverse_values, real_part
 from .grids import Field, GridSpec, State, fd_laplacian_eigenvalues, sample
 from .tables import ExpPhiTables
 
@@ -64,13 +64,13 @@ class KgProblem:
 class KgState(State):
     """The common state record plus the velocity v = u_t.
 
-    v is given as node values, as its half spectrum v_spectrum (as the
-    steppers do), or both; the other side is transformed on first read and kept.
+    v is given either as node values or as its half spectrum v_spectrum (as
+    the steppers do), never both; the other is transformed on first read and kept.
     """
 
     def __init__(self, *, v: Field | None = None, v_spectrum: np.ndarray | None = None, **common):
-        if v is None and v_spectrum is None:
-            raise ValueError("the velocity needs its node values or its half spectrum")
+        if (v is None) == (v_spectrum is None):
+            raise ValueError("the velocity needs its node values or its half spectrum, not both")
         super().__init__(**common)
         self._keep(v=v, v_spectrum=v_spectrum)
 
@@ -189,10 +189,9 @@ def _quadratic_energy(state: KgState, problem: KgProblem) -> float:
     By summation by parts ||d+ u||^2 = -<B2 u, u>, and B2 has the FD symbol lam.
     """
     grid, fu, fv = state.u.grid, state.u_spectrum, state.v_spectrum
-    # the product on the half-spectrum columns of the cached symbol, not on a cut copy
-    rows = fu.reshape(-1, grid.shape[-1] // 2 + 1)
-    lam = fd_laplacian_eigenvalues(grid).reshape(rows.shape[0], -1)[:, : rows.shape[1]]
-    gradient = -half_inner(lam * rows, fu, grid)
+    # the product on a view of the cached symbol's half-spectrum columns, not on a copy
+    lam = half_rows(fd_laplacian_eigenvalues(grid), grid)
+    gradient = -half_inner(lam * fu.reshape(lam.shape), fu, grid)
     return 0.5 * half_inner(fv, fv, grid) + 0.5 * problem.omega**2 * gradient
 
 

@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fourier import half_spectrum
+from .fourier import half_rows
 from .grids import GridSpec, fd_laplacian_eigenvalues, spectral_laplacian_eigenvalues
 
 
@@ -116,7 +116,7 @@ def build_kg_tables(grid: GridSpec, lam: np.ndarray, omega: float, tau: float) -
     if not np.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega!r}")
 
-    half = half_spectrum(lam, grid).reshape(-1, grid.shape[-1] // 2 + 1)
+    half = half_rows(lam, grid)
     mu2 = omega * omega * (-half[: len(half) // 2 + 1])
     mu = np.sqrt(mu2)
     x = tau * mu
@@ -136,7 +136,7 @@ def build_nls_tables(grid: GridSpec, lam: np.ndarray, tau: float) -> NlsTables:
     """Tabulate exp(i*tau*lam) and sigma for the Schroedinger stepper; lam must
     be spectral_laplacian_eigenvalues(grid), or an equal copy."""
     lam = _family_eigenvalues(grid, lam, tau, spectral_laplacian_eigenvalues)
-    n0 = grid.shape[0]
+    n0 = grid.n[0]
     x = tau * lam.reshape(n0, -1)[: n0 // 2 + 1]
     expD = np.exp(1j * x)
     # (e^{ix} - 1)/(ix) = e^{ix/2} sin(x/2)/(x/2), exact and cancellation-free

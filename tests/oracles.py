@@ -35,7 +35,7 @@ def forward_diff_norm(u) -> float:
     1D: sqrt(h * sum |(u_{j+1} - u_j)/h|^2); in 2D both axis contributions
     are summed under the cell measure.
     """
-    vals = u.values.reshape(u.grid.shape)
+    vals = u.values.reshape(u.grid.n)
     acc = 0.0
     for axis in range(u.grid.dim):
         diff = (np.roll(vals, -1, axis=axis) - vals) / u.grid.h[axis]
@@ -146,11 +146,13 @@ def dense_wave_operators(grid: GridSpec, omega: float, tau: float):
     return blocks(E), blocks(P)
 
 
-def dense_kg_step(state, problem, omega: float, tau: float):
-    """Full-matrix reference for one wave-system SAV step (direct N x N solve)."""
+def dense_kg_step(state, problem, omega: float, tau: float, operators=None):
+    """Full-matrix reference for one wave-system SAV step (direct N x N solve);
+    operators, if given, is dense_wave_operators(grid, omega, tau)."""
     grid = problem.grid
     cell = grid.cell
-    (e11, e12, e21, e22), (p11, p12, p21, p22) = dense_wave_operators(grid, omega, tau)
+    (e11, e12, e21, e22), (p11, p12, p21, p22) = (
+        operators or dense_wave_operators(grid, omega, tau))
     u, v, q = state.u.values, state.v.values, state.q
     uhat = u if state.u_prev is None else 1.5 * u - 0.5 * state.u_prev.values
     s2 = cell * float(np.sum(problem.G(uhat))) + problem.C0
@@ -237,7 +239,7 @@ def kg_tables_per_mode(grid: GridSpec, lam: np.ndarray, omega: float, tau: float
     The same operands in the same order as the builder, with no mirror, so
     the arrays are the builder's bit for bit.
     """
-    n_last = grid.shape[-1]
+    n_last = grid.n[-1]
     half = lam.reshape(-1, n_last)[:, : n_last // 2 + 1].ravel()
     mu2 = omega * omega * (-half)
     mu = np.sqrt(mu2)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expsav.fourier import apply_multipliers, forward_values, half_inner, inverse_values
+from expsav.fourier import (apply_multipliers, forward_values, half_inner, half_rows,
+                            inverse_values)
 from expsav.grids import (Field, GridSpec, fd_laplacian_eigenvalues, make_grid,
                           spectral_laplacian_eigenvalues)
 
@@ -88,10 +89,22 @@ layout_ids = lambda g: "x".join(map(str, g.n))
 def test_real_input_gives_half_spectrum(g):
     rng = np.random.default_rng(9)
     u = rng.normal(size=g.size)
-    full = forward_values(u.astype(complex), g).reshape(g.shape)
+    full = forward_values(u.astype(complex), g).reshape(g.n)
     half = forward_values(u, g)
     assert half.size == g.size // g.n[-1] * (g.n[-1] // 2 + 1)
     np.testing.assert_allclose(half, full[..., : g.n[-1] // 2 + 1].ravel(), atol=1e-12)
+
+
+@pytest.mark.parametrize("g", HALF_LAYOUTS, ids=layout_ids)
+def test_half_rows_views_the_kept_columns_of_a_full_layout_array(g):
+    # the tables and the wave energies read lam through this view, shaped so
+    # that a half spectrum reshaped to it lines up mode by mode
+    full = np.arange(float(g.size))
+    rows = half_rows(full, g)
+    m = g.n[-1] // 2 + 1
+    assert np.shares_memory(rows, full) and rows.shape == (g.size // g.n[-1], m)
+    np.testing.assert_array_equal(rows, full.reshape(g.n)[..., :m].reshape(-1, m))
+    assert forward_values(full, g).size == rows.size
 
 
 @pytest.mark.parametrize("g", HALF_LAYOUTS[::2], ids=layout_ids)

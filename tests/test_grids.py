@@ -10,7 +10,6 @@ from expsav.errors import SolverError
 from expsav.grids import (Field, GridSpec, State, fd_laplacian_eigenvalues, make_grid, sample,
                           spectral_laplacian_eigenvalues)
 from expsav.kg import KgState
-from expsav.nls import NlsState
 
 import oracles
 from oracles import forward_diff_norm, inner_l2, norm_l2
@@ -36,7 +35,7 @@ def test_make_grid_2d():
     g = make_grid(-30, 10, 200, 2)
     assert g.h == (0.2, 0.2)
     assert g.size == 200 * 200
-    assert g.shape == (200, 200)
+    assert g.n == (200, 200)
 
 
 @pytest.mark.parametrize("bad", [(0, 1, 3), (0, 1, 0), (0, 1, -4), (1, 1, 4), (2, 1, 4),
@@ -160,9 +159,9 @@ def test_state_advance_shifts_the_levels():
 
 def test_nls_state_is_the_common_record():
     g = make_grid(0, 1, 4, 1)
-    state = NlsState(u=Field(g, np.ones(4, complex)), q=1.0, u_prev=None, n=0, t=0.0)
+    state = State(u=Field(g, np.ones(4, complex)), q=1.0, u_prev=None, n=0, t=0.0)
     new = state.advance(0.1, 1j * np.ones(4), 1.0)
-    assert NlsState is State and type(new) is State
+    assert type(new) is State
     assert not hasattr(new, "v")
     assert new.u.values.dtype == np.complex128
 
@@ -199,7 +198,7 @@ def test_summation_by_parts(dim, n):
     g = make_grid(-1.0, 2.0, n, dim)
     vals = rng.normal(size=g.size)
     u = Field(g, vals)
-    arr = vals.reshape(g.shape)
+    arr = vals.reshape(g.n)
     b2u = np.zeros_like(arr)
     for axis in range(dim):
         b2u += (np.roll(arr, -1, axis) - 2 * arr + np.roll(arr, 1, axis)) / g.h[axis] ** 2
@@ -229,7 +228,7 @@ def test_sample_returns_a_new_flat_writable_array(result):
     x, y = grid.coords()
     fns = {"scalar": lambda x, y: 2.5, "column": lambda x, y: 3.0 * x,
            "full": lambda x, y: x * y}
-    want = np.broadcast_to(fns[result](x, y), grid.shape).ravel()
+    want = np.broadcast_to(fns[result](x, y), grid.n).ravel()
     got = sample(grid, fns[result])
     assert got.shape == (grid.size,)
     assert got.flags.writeable and got.flags.c_contiguous and got.flags.owndata
@@ -259,5 +258,5 @@ def test_catalog_initial_data_are_their_values_on_the_full_coordinates(problem_i
         for name in ("phi1", "phi2") if entry.kind == "wave" else ("u0",):
             fn = getattr(problem, name)
             got = sample(grid, fn)
-            want = np.broadcast_to(fn(*grid.coords()), grid.shape).ravel()
+            want = np.broadcast_to(fn(*grid.coords()), grid.n).ravel()
             assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), (grid.n, name)

@@ -8,9 +8,10 @@ from expsav.catalog import get_entry, sech
 from expsav.errors import SolverError
 from expsav.diagnostics import convergence_orders, error_norms
 from expsav.fourier import apply_multipliers
-from expsav.grids import Field, fd_laplacian_eigenvalues, make_grid, spectral_laplacian_eigenvalues
+from expsav.grids import (Field, State, fd_laplacian_eigenvalues, make_grid,
+                          spectral_laplacian_eigenvalues)
 from expsav.kg import KgProblem, KgState, kg_step
-from expsav.nls import (NlsProblem, NlsState, nls_hamiltonian, nls_init, nls_kinetic,
+from expsav.nls import (NlsProblem, nls_hamiltonian, nls_init, nls_kinetic,
                         nls_modified_energy, nls_step, quartic_sum)
 from expsav.tables import build_kg_tables, build_nls_tables
 
@@ -22,8 +23,7 @@ def random_state(problem, rng, tau):
     u = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
     u_prev = u - tau * (rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size))
     q = float(np.sqrt(grid.cell * np.sum(np.abs(u) ** 4) + problem.C0))
-    return NlsState(u=Field(grid, u), q=q, u_prev=Field(grid, u_prev),
-                    n=2, t=2 * tau)
+    return State(u=Field(grid, u), q=q, u_prev=Field(grid, u_prev), n=2, t=2 * tau)
 
 
 def sav_gamma(state, problem):

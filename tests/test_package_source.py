@@ -1,11 +1,18 @@
 """Static checks on the package sources."""
 
 import ast
+import importlib
+import importlib.util
+import io
+import tokenize
 from pathlib import Path
 
 import expsav
+from expsav import fourier, nls
+from expsav.grids import GridSpec
 
 SRC = Path(expsav.__file__).resolve().parent
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def test_no_assert_statements():
@@ -215,3 +222,97 @@ def test_one_function_reads_the_wave_potential():
         if isinstance(node, ast.Attribute) and node.attr in ("G", "Gp", "sum_G_and_Gp")
     }
     assert readers == {"kg.potential"}
+
+
+def test_one_module_forms_the_half_spectrum_width():
+    # a half spectrum keeps n_last // 2 + 1 columns of the last axis: fourier.py
+    # alone forms that count, and the tables and energies read its half_rows view
+    found = [
+        f"{path.name}:{lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "fourier.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if "[-1] // 2" in line
+    ]
+    assert found == []
+
+
+def test_one_function_forms_the_nls_parseval_product():
+    # cell/N * vdot is nls._inner; the closure and the kinetic energy call it
+    path = SRC / "nls.py"
+    readers = {
+        f"nls.{scope}"
+        for scope, node in scoped_nodes(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "vdot"
+    }
+    assert readers == {"nls._inner"}
+
+
+def test_each_thing_has_one_name():
+    # State is the NLS state, GridSpec.n its shape, and fourier.half_rows the
+    # one way to the half-spectrum columns of a full-layout table
+    assert not hasattr(nls, "NlsState") and not hasattr(GridSpec, "shape")
+    assert not hasattr(fourier, "half_spectrum")
+    assert len(set(expsav.__all__)) == len(expsav.__all__) == 30
+    assert all(hasattr(expsav, name) for name in expsav.__all__)
+
+
+def names_the_tracer_touches() -> set[str]:
+    """module.name of every src attribute that bench/tracer.py's Tracer replaces,
+    or whose class attributes it replaces, from vars() inside and outside it."""
+    spec = importlib.util.spec_from_file_location("tracer_under_test", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    modules = {path.stem: importlib.import_module(f"expsav.{path.stem}")
+               for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
+
+    def snapshot():
+        return {(stem, name): (value, dict(vars(value)) if isinstance(value, type) else None)
+                for stem, module in modules.items() for name, value in vars(module).items()}
+
+    outside = snapshot()
+    with tracer.Tracer("sg2d_ring"):
+        inside = snapshot()
+    return {f"{stem}.{name}" for (stem, name), (value, attrs) in outside.items()
+            if inside[stem, name][0] is not value
+            or (attrs is not None and any(inside[stem, name][1][k] is not v
+                                          for k, v in attrs.items()))}
+
+
+def kept_for_the_tracer(path: Path, tree: ast.Module) -> set[str]:
+    """Names bound by the module-level statement that each comment naming
+    bench/tracer.py sits in or precedes."""
+    tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+    names = set()
+    for line in (tok.start[0] for tok in tokens
+                 if tok.type == tokenize.COMMENT and "bench/tracer.py" in tok.string):
+        stmt = next(stmt for stmt in tree.body if stmt.end_lineno >= line)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            names.update(t.id for t in stmt.targets if isinstance(t, ast.Name))
+        else:
+            names.update(alias.asname or alias.name for alias in stmt.names)
+    return {f"{path.stem}.{name}" for name in names}
+
+
+def test_names_kept_for_the_benchmark_are_the_ones_its_tracer_touches():
+    # CI runs no linter: the names that src/ keeps only for bench/tracer.py
+    # (the unused apply_multipliers imports of avf and nls, grids.ComplexField,
+    # runner.write_run_csv, avf.avf_gradient_kg) must each be one it replaces
+    touched = names_the_tracer_touches()
+    unread, kept = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for stmt in tree.body if isinstance(stmt, (ast.Import, ast.ImportFrom))
+                    and getattr(stmt, "module", None) != "__future__"
+                    for alias in stmt.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        if path.name == "__init__.py":
+            read |= set(expsav.__all__)  # imported to be exported
+        unread |= {f"{path.stem}.{name}" for name in imported - read}
+        kept |= kept_for_the_tracer(path, tree)
+    assert unread <= touched
+    assert kept <= touched
+    assert unread <= kept

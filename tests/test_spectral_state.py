@@ -218,3 +218,12 @@ def test_wave_state_needs_its_velocity():
     grid = LAYOUTS[0]
     with pytest.raises(ValueError, match="velocity"):
         KgState(u=Field(grid, np.zeros(8)), q=1.0, u_prev=None, n=0, t=0.0)
+
+
+def test_wave_state_holds_one_velocity():
+    # two velocities given together could disagree; the steppers pass one
+    grid = LAYOUTS[0]
+    v = Field(grid, np.ones(8))
+    with pytest.raises(ValueError, match="velocity"):
+        KgState(u=Field(grid, np.zeros(8)), v=v, v_spectrum=forward_values(v.values, grid),
+                q=1.0, u_prev=None, n=0, t=0.0)

@@ -178,13 +178,13 @@ def test_blocks_even_in_k(kind, dim, n):
     g = make_grid(-3.0, 2.0, n, dim)
     _, family = BUILDERS[kind]
     lam = family(g)
-    full = lam.reshape(g.shape)
+    full = lam.reshape(g.n)
     for axis in range(dim):
         np.testing.assert_array_equal(full, mirror(full, axis), err_msg=f"lam along {axis}")
     if kind == "wave":
         t, shape, axes = build_kg_tables(g, lam, omega=1.3, tau=0.4), (-1, n // 2 + 1), [0]
     else:
-        t, shape, axes = build_nls_tables(g, lam, tau=0.4), g.shape, range(dim)
+        t, shape, axes = build_nls_tables(g, lam, tau=0.4), g.n, range(dim)
     for name, table in table_arrays(t).items():
         block = table.reshape(shape)
         for axis in axes:
