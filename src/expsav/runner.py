@@ -6,12 +6,12 @@ Run settings arrive as text, from CLI flags or a flat ``key = value``
 manifest, and MANIFEST_KEYS parses both alike; rerunning a manifest
 reproduces its run byte-for-byte (no timestamps are written).
 
-CSV schema (one row per output time):
-    t,E_mod,E_orig,err_l2,err_inf,iters
-Missing entries are left empty. A field snapshot holds the field u itself:
-a short ASCII header (one ``key value`` line each, terminated by a ``data``
-line) followed by raw little-endian float64 payload, row-major; complex
-fields store the real plane then the imaginary plane (``components 2``).
+CSV schema (one row per output time): a header of RunRecord's field names,
+then one line per record; missing entries are left empty. A field snapshot
+holds the field u itself: a short ASCII header (one ``key value`` line
+each, terminated by a ``data`` line) followed by raw little-endian float64
+payload, row-major; complex fields store the real plane then the imaginary
+plane (``components 2``).
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ import time
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import avf, kg, nls
 from .catalog import CatalogEntry, get_entry
-from .diagnostics import RunRecord, convergence_orders, error_norms
 from .errors import SolverError
 from .grids import Field, GridSpec
 from .tables import build_kg_tables, build_nls_tables
@@ -61,6 +61,18 @@ class ProblemSpec:
                 raise ValueError(f"{name} = {count!r}: must be an integer")
             if count < 1:
                 raise ValueError(f"{name} = {count!r}: must be >= 1")
+
+
+@dataclass(frozen=True)
+class RunRecord:
+    """One diagnostics row of a run; optional entries are None when not tracked."""
+
+    t: float
+    E_mod: float
+    E_orig: float | None = None
+    err_l2: float | None = None
+    err_inf: float | None = None
+    iters: int | None = None
 
 
 @dataclass
@@ -166,6 +178,14 @@ def spec_from_mapping(mapping: dict[str, str]) -> ProblemSpec:
 # --------------------------------------------------------------------------
 # the stepping loop
 # --------------------------------------------------------------------------
+
+
+def error_norms(u_num: Field, exact_at: Callable[[float], np.ndarray],
+                t: float) -> tuple[float, float]:
+    """Discrete L2 and sup-norm errors against exact_at(t), the flat node values
+    of the analytic solution at time t (what CatalogEntry.exact(grid) returns)."""
+    a = np.abs(u_num.values - exact_at(t))
+    return float(np.sqrt(u_num.grid.cell * np.sum(a * a))), float(np.max(a))
 
 
 def run(spec: ProblemSpec) -> RunResult:
@@ -302,6 +322,13 @@ def write_snapshot(path: Path, u: Field, t: float):
 # --------------------------------------------------------------------------
 
 
+def convergence_orders(errors: list[float]) -> list[float]:
+    """log2 ratios of consecutive errors on a step-halving ladder."""
+    if any(e <= 0.0 for e in errors):
+        raise ValueError("errors must be positive to estimate orders")
+    return [math.log2(prev / cur) for prev, cur in zip(errors, errors[1:])]
+
+
 @dataclass(frozen=True)
 class LadderRow:
     level: int
@@ -318,6 +345,8 @@ def convergence_driver(base: ProblemSpec, levels: int) -> list[LadderRow]:
     if levels < 2:
         raise ValueError("need at least 2 ladder levels")
     entry, grid, _, tau, _, _ = resolve(base)
+    if entry.exact is None:
+        raise ValueError(f"{base.problem} has no analytic solution to converge against")
     n0 = grid.n[0]
     rows: list[LadderRow] = []
     for level in range(levels):
@@ -326,8 +355,6 @@ def convergence_driver(base: ProblemSpec, levels: int) -> list[LadderRow]:
         spec = replace(base, n=n, tau=tau / factor, out=None)
         result = run(spec)
         last = result.records[-1]
-        if last.err_l2 is None:
-            raise ValueError(f"{base.problem} has no analytic solution to converge against")
         rows.append(LadderRow(level=level, n=n, tau=tau / factor, err_l2=last.err_l2,
                               order_l2=None, err_inf=last.err_inf, order_inf=None))
     orders_l2 = convergence_orders([r.err_l2 for r in rows])

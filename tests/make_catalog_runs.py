@@ -12,13 +12,14 @@ the old and new values of every moved run in CHANGES.md.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 from expsav.catalog import CATALOG
-from expsav.runner import SCHEMES, ProblemSpec, run
+from expsav.runner import SCHEMES, ProblemSpec, RunRecord, run
 
 CADENCE = 10
-COLUMNS = ("t", "E_mod", "E_orig", "err_l2", "err_inf", "iters")
+COLUMNS = tuple(f.name for f in fields(RunRecord))
 RECORD = Path(__file__).resolve().parent / "data" / "catalog_runs.json"
 RUNS = tuple(f"{problem}-{scheme}" for problem in CATALOG for scheme in SCHEMES)
 

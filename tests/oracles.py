@@ -2,7 +2,7 @@
 
 Everything here is deliberately O(N^2)/O(N^3): explicit DFT matrices,
 circulant stencil matrices, scipy's scaling-and-squaring matrix exponential
-and Gauss-Legendre quadrature for the phi operator, and direct dense solves.
+(of an augmented matrix for the phi operator), and direct dense solves.
 The exceptions are the physical norms, which sum over the nodes directly, and
 the chord means, taken from G and Gp by divided differences and quadrature.
 None of it shares code paths with the package under test.
@@ -123,13 +123,15 @@ def chord_mean_nls(u_old: np.ndarray, u_new: np.ndarray) -> np.ndarray:
     return out
 
 
-def phi_of(V: np.ndarray, n_points: int = 32) -> np.ndarray:
-    """integral_0^1 expm((1 - xi) V) dxi by Gauss-Legendre quadrature."""
-    nodes, weights = gl_quadrature(n_points)
-    out = np.zeros_like(V, dtype=np.complex128 if np.iscomplexobj(V) else np.float64)
-    for xi, wt in zip(nodes, weights):
-        out += wt * expm((1.0 - xi) * V)
-    return out
+def phi_of(V: np.ndarray) -> np.ndarray:
+    """integral_0^1 expm((1 - xi) V) dxi, the top-right block of
+    expm([[V, I], [0, 0]]); a fixed quadrature rule loses digits once the
+    integrand oscillates many times over [0, 1]."""
+    n = V.shape[0]
+    augmented = np.zeros((2 * n, 2 * n), dtype=V.dtype)
+    augmented[:n, :n] = V
+    augmented[:n, n:] = np.eye(n)
+    return expm(augmented)[:n, n:]
 
 
 def dense_wave_operators(grid: GridSpec, omega: float, tau: float):
@@ -214,14 +216,18 @@ def dense_nls_step(state, problem, lam: np.ndarray, tau: float):
 
     phi_gamma = 1j * problem.beta * tau * (Sigma_op @ gamma)
     ip = lambda a, b: cell * np.sum(a * np.conj(b))  # <a, b>
-    b = E @ u + phi_gamma * q - 0.5 * phi_gamma * (ip(gamma, u) + ip(u, gamma))
+    # u' = b + (x + y)/2 phi_gamma with x = <gamma, u' - u> and y = <u' - u, gamma>,
+    # so x - a/2 (x + y) = <gamma, b - u> and y - c/2 (x + y) = <b - u, gamma>,
+    # solved for x + y and x - y: the unknowns <gamma, u'> cancel against
+    # <gamma, u>, and the system in x and y has condition ~ |a|^2
+    b = E @ u + phi_gamma * q
     a = ip(gamma, phi_gamma)
     c = ip(phi_gamma, gamma)
-    mat = np.array([[1.0 - 0.5 * a, -0.5 * a], [-0.5 * c, 1.0 - 0.5 * c]])
-    rhs = np.array([ip(gamma, b), ip(b, gamma)])
-    x, y = np.linalg.solve(mat, rhs)
-    u_new = 0.5 * phi_gamma * (x + y) + b
-    q_half = 0.5 * (x + y) + q - 0.5 * (ip(gamma, u) + ip(u, gamma))
+    mat = np.array([[1.0 - 0.5 * (a + c), 0.0], [-0.5 * (a - c), 1.0]])
+    r1, r2 = ip(gamma, b - u), ip(b - u, gamma)
+    x_plus_y, _ = np.linalg.solve(mat, np.array([r1 + r2, r1 - r2]))
+    u_new = 0.5 * phi_gamma * x_plus_y + b
+    q_half = q + 0.5 * x_plus_y
     q_new = 2.0 * q_half.real - q
     return u_new, q_new
 

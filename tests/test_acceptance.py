@@ -10,7 +10,8 @@ from expsav.catalog import get_entry
 from expsav.fourier import apply_multipliers, forward_values, inverse_values
 from expsav.grids import Field, State
 from expsav.kg import KgState
-from expsav.runner import ProblemSpec, compare_driver, convergence_driver, run
+from expsav.runner import (ProblemSpec, compare_driver, convergence_driver, convergence_orders,
+                           run)
 from expsav.tables import sin_over_x, versine_over_x2
 
 import oracles
@@ -102,7 +103,7 @@ def test_criterion_4_nls_temporal_order():
             result = run(ProblemSpec(problem="nls1d_soliton", tau=tau, t_end=1.0,
                                      cadence=10**6))
             errs.append(result.records[-1].err_l2)
-        for order in es.convergence_orders(errs):
+        for order in convergence_orders(errs):
             assert order == pytest.approx(2.00, abs=0.05)
 
 
@@ -115,7 +116,7 @@ def test_criterion_4_nls_plane_wave():
             errs.append(result.records[-1].err_l2)
         for prev, cur in zip(errs, errs[1:]):
             assert prev / cur == pytest.approx(4.0, rel=0.15)  # order 2.00 +- 0.05
-        for order in es.convergence_orders(errs):
+        for order in convergence_orders(errs):
             assert order == pytest.approx(2.00, abs=0.05)
 
 

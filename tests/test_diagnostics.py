@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from expsav.catalog import get_entry, sech
-from expsav.diagnostics import convergence_orders, error_norms
 from expsav.grids import Field, make_grid
+from expsav.runner import convergence_orders, error_norms
 
 
 def test_error_zero_when_exact():

@@ -8,6 +8,7 @@ its exact pair and chord mean; and random initial data. Over three steps:
 * esavs conserves E_mod within criterion 3's 1e-10 max(1, |E0|);
 * each esavs step matches the dense oracle to 1e-11 max(1, |ref|), the
   oracle's own roundoff growing with the size of the values;
+* every eavfs step that succeeds keeps E_orig within 1e-10 max(1, |E0|);
 * a step of either scheme fails only with SolverError or ValueError, never
   with a numpy warning or any other exception.
 """
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from expsav.avf import FixedPointConfig, eavf_step_kg
 from expsav.errors import SolverError
 from expsav.grids import GridSpec, fd_laplacian_eigenvalues
-from expsav.kg import KgProblem, kg_init, kg_modified_energy, kg_step
+from expsav.kg import KgProblem, kg_init, kg_modified_energy, kg_original_energy, kg_step
 from expsav.tables import build_kg_tables
 
 import oracles
@@ -107,4 +108,8 @@ def test_generated_wave_problem(grid, omega, tau, c0, a1, a2, amplitude, seed):
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-11 * scale)
 
     cfg = FixedPointConfig()
-    steps(lambda st, tabs, prob: eavf_step_kg(st, tabs, prob, cfg)[0], start, tables, problem)
+    eavfs = steps(lambda st, tabs, prob: eavf_step_kg(st, tabs, prob, cfg)[0], start, tables,
+                  problem)
+    e0 = kg_original_energy(start, problem)
+    for state in eavfs:
+        assert abs(kg_original_energy(state, problem) - e0) <= 1e-10 * max(1.0, abs(e0))

@@ -6,13 +6,13 @@ import pytest
 
 from expsav.catalog import get_entry, sech
 from expsav.errors import SolverError
-from expsav.diagnostics import convergence_orders, error_norms
 from expsav.fourier import apply_multipliers
 from expsav.grids import (Field, State, fd_laplacian_eigenvalues, make_grid,
                           spectral_laplacian_eigenvalues)
 from expsav.kg import KgProblem, KgState, kg_step
 from expsav.nls import (NlsProblem, nls_hamiltonian, nls_init, nls_kinetic,
                         nls_modified_energy, nls_step, quartic_sum)
+from expsav.runner import convergence_orders, error_norms
 from expsav.tables import build_kg_tables, build_nls_tables
 
 import oracles

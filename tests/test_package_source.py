@@ -8,7 +8,7 @@ import tokenize
 from pathlib import Path
 
 import expsav
-from expsav import fourier, nls
+from expsav import fourier, nls, runner
 from expsav.grids import GridSpec
 
 SRC = Path(expsav.__file__).resolve().parent
@@ -249,11 +249,25 @@ def test_one_function_forms_the_nls_parseval_product():
 
 def test_each_thing_has_one_name():
     # State is the NLS state, GridSpec.n its shape, and fourier.half_rows the
-    # one way to the half-spectrum columns of a full-layout table
+    # one way to the half-spectrum columns of a full-layout table; the error
+    # norms and convergence orders serve the runner alone and are not exported
     assert not hasattr(nls, "NlsState") and not hasattr(GridSpec, "shape")
     assert not hasattr(fourier, "half_spectrum")
-    assert len(set(expsav.__all__)) == len(expsav.__all__) == 30
+    assert len(set(expsav.__all__)) == len(expsav.__all__) == 28
     assert all(hasattr(expsav, name) for name in expsav.__all__)
+    assert not {"convergence_orders", "error_norms"} & (set(expsav.__all__) | set(vars(expsav)))
+
+
+def test_one_module_holds_the_run_layer():
+    # runner.py builds, writes and documents the run rows and the driver rows;
+    # the rows, the error norms and the orders have no module of their own
+    assert not (SRC / "diagnostics.py").exists()
+    assert importlib.util.find_spec("expsav.diagnostics") is None
+    for row in (runner.RunRecord, runner.LadderRow, runner.CompareRow):
+        assert row.__module__ == "expsav.runner"
+    assert expsav.RunRecord is runner.RunRecord
+    assert runner.error_norms.__module__ == "expsav.runner"
+    assert "runner.error_norms" in names_the_tracer_touches()
 
 
 def names_the_tracer_touches() -> set[str]:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import expsav
-from expsav import kg
+from expsav import kg, runner
 from expsav.catalog import CATALOG, CatalogEntry, get_entry, register
 from expsav.cli import build_parser, main
 from expsav.errors import SolverError
@@ -164,6 +164,16 @@ def test_convergence_driver_orders():
 def test_convergence_driver_rejects_single_level():
     with pytest.raises(ValueError):
         convergence_driver(ProblemSpec(problem="sg1d"), levels=1)
+
+
+@pytest.mark.parametrize("problem", ["sg2d_ring", "kg2d_cubic"])
+def test_convergence_driver_refuses_a_problem_without_an_analytic_solution_before_it_steps(
+        problem, monkeypatch):
+    calls = []
+    monkeypatch.setattr(runner, "run", lambda spec: calls.append(spec))
+    with pytest.raises(ValueError, match="no analytic solution"):
+        convergence_driver(ProblemSpec(problem=problem, t_end=100.0), levels=3)
+    assert calls == []
 
 
 def test_compare_driver_trivial_problem_and_iteration_counts():
