@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import SolverError, require_positive
 # unused here; kept only because bench/tracer.py patches avf.apply_multipliers
 from .fourier import apply_multipliers  # noqa: F401
 from .fourier import forward_values, inverse_values, real_part
@@ -160,7 +160,7 @@ def eavf_step_kg(state: KgState, tables: ExpPhiTables, problem: KgProblem,
     fv_new = fzv - tables.e12 * ffb
 
     # q is not evolved by this scheme; keep it consistent with its definition
-    radicand = potential(problem, u_new)[0] + problem.C0
+    radicand = require_positive(potential(problem, u_new)[0] + problem.C0, "<G(u'), 1> + C0")
     return state.advance(tau, u_new, np.sqrt(radicand), u_spectrum=fu_new,
                          corrections=kept, v_spectrum=fv_new), it
 
@@ -175,6 +175,6 @@ def eavf_step_nls(state: State, tables: NlsTables, problem: NlsProblem,
     u_new, fu_new, kept, it = _solve(
         state, tables.expD * state.u_spectrum, tables.sigma, 1j * problem.beta * tables.tau,
         lambda w: avf_gradient_nls(u, w), lambda f: inverse_values(f, grid), cfg)
-    radicand = quartic_sum(u_new, grid)[0] + problem.C0
+    radicand = require_positive(quartic_sum(u_new, grid)[0] + problem.C0, "<|u'|^4, 1> + C0")
     return state.advance(tables.tau, u_new, np.sqrt(radicand), u_spectrum=fu_new,
                          corrections=kept), it

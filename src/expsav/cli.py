@@ -14,7 +14,7 @@ from pathlib import Path
 from .catalog import CATALOG
 from .errors import SolverError
 from .runner import (MANIFEST_KEYS, SCHEMES, ProblemSpec, compare_driver, convergence_driver,
-                     parse_manifest, run, spec_from_mapping, write_rows)
+                     format_rows, parse_manifest, run, spec_from_mapping)
 
 EXIT_OK = 0
 EXIT_SOLVER = 2
@@ -55,11 +55,13 @@ def build_parser() -> _Parser:
     p_run.add_argument("--snapshots", help="comma-separated field-dump times")
     p_run.add_argument("--config", help="manifest file to run; explicit flags override it")
 
-    p_conv = sub.add_parser("converge", help="refinement ladder with observed orders")
+    p_conv = sub.add_parser("converge", help="refinement ladder with observed orders; prints "
+                            "its rows as CSV at full precision, then the files written")
     _add_common(p_conv)
     p_conv.add_argument("--levels", type=int, required=True)
 
-    p_cmp = sub.add_parser("compare", help="run both schemes on identical settings")
+    p_cmp = sub.add_parser("compare", help="run both schemes on identical settings; prints their "
+                           "rows as CSV at full precision, the wall-time ratio, the files written")
     _add_common(p_cmp, with_scheme=False)
     p_cmp.add_argument("--cadence", help="sample E_mod every this many steps")
     return parser
@@ -78,14 +80,6 @@ def _spec_from_args(args) -> ProblemSpec:
     return spec
 
 
-def _write_csv(out: str | None, name: str, rows: list):
-    if out is not None:
-        path = Path(out) / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_rows(path, rows)
-        print(f"wrote {path}")
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -101,32 +95,22 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             result = run(spec)
-            last = result.records[-1]
-            msg = f"{spec.problem} [{spec.scheme}] t = {last.t:g}  E_mod = {last.E_mod:.12e}"
-            if last.err_l2 is not None:
-                msg += f"  err_l2 = {last.err_l2:.6e}  err_inf = {last.err_inf:.6e}"
-            print(msg)
-            for path in result.files:
-                print(f"wrote {path}")
-        elif args.command == "converge":
-            rows = convergence_driver(spec, args.levels)
-            print("level       n        tau       err_l2   order      err_inf   order")
-            for r in rows:
-                o2 = f"{r.order_l2:6.2f}" if r.order_l2 is not None else "     -"
-                oi = f"{r.order_inf:6.2f}" if r.order_inf is not None else "     -"
-                print(f"{r.level:5d} {r.n:7d} {r.tau:10.3e} {r.err_l2:12.4e} {o2} {r.err_inf:12.4e} {oi}")
-            _write_csv(spec.out, "converge.csv", rows)
-        elif args.command == "compare":
-            rows = compare_driver(spec)
-            print("scheme      err_l2      err_inf   energy_drift      wall_s   iters")
-            for r in rows:
-                e2 = f"{r.err_l2:.4e}" if r.err_l2 is not None else "         -"
-                ei = f"{r.err_inf:.4e}" if r.err_inf is not None else "         -"
-                print(f"{r.scheme:6s} {e2:>11s} {ei:>12s} {r.energy_drift:14.4e} "
-                      f"{r.wall_seconds:11.3f} {r.total_iters:7d}")
+            text, files = format_rows(result.records[-1:]), result.files
+        else:
+            rows = (convergence_driver(spec, args.levels) if args.command == "converge"
+                    else compare_driver(spec))
+            text, files = format_rows(rows), []
+            if spec.out is not None:
+                path = Path(spec.out) / f"{args.command}.csv"
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(text)
+                files.append(path)
+        print(text, end="")
+        if args.command == "compare":
             ratio = rows[1].wall_seconds / max(rows[0].wall_seconds, 1e-12)
             print(f"wall-time ratio eavfs/esavs = {ratio:.2f}")
-            _write_csv(spec.out, "compare.csv", rows)
+        for path in files:
+            print(f"wrote {path}")
     except ValueError as exc:
         print(f"expsav: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -37,8 +37,9 @@ from .tables import ExpPhiTables
 class KgProblem:
     """Wave equation u_tt = omega^2 Lap(u) - G'(u) with initial data (phi1, phi2).
 
-    G must be a nonnegative antiderivative of Gp (so the auxiliary variable
-    stays real); both act pointwise on arrays. C0 >= 0 shifts the radicand.
+    G is an antiderivative of Gp; both act pointwise on arrays. C0 shifts the
+    radicand of q: kg_init refuses data with <G(u0), 1> + C0 <= 0, and a step
+    whose radicand is not positive raises SolverError naming it.
     chord_mean(a, b) is the closed form of the mean of Gp along the chord
     from a to b, (G(b) - G(a))/(b - a), and equals Gp(a) at a = b. The
     implicit baseline (eavfs) requires it; the SAV step ignores it.

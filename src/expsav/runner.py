@@ -276,12 +276,17 @@ def _fmt(value) -> str:
     return f"{value:.16e}"
 
 
-def write_rows(path: Path, rows: list):
-    """CSV of dataclass rows: the field names as the header, then one line per row."""
+def format_rows(rows: list) -> str:
+    """CSV text of dataclass rows: the field names as the header, then one line per row."""
     names = [f.name for f in fields(rows[0])]
     values = attrgetter(*names)  # a tuple per row: every row type has several fields
     lines = [",".join(names)] + [",".join(map(_fmt, values(r))) for r in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_rows(path: Path, rows: list):
+    """Write format_rows(rows) to path."""
+    Path(path).write_text(format_rows(rows))
 
 
 def write_run_csv(path: Path, records: list[RunRecord]):

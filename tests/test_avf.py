@@ -377,6 +377,17 @@ def test_nls_zero_state_one_iteration():
     np.testing.assert_array_equal(state.u.values, 0.0)
 
 
+def test_nls_step_names_a_radicand_that_is_not_positive():
+    # C0 = 1 passes set-up; stepped with C0 = -1, the zero state's <|u'|^4, 1> + C0 is -1
+    grid = make_grid(0, 2 * np.pi, 16, 1)
+    problem = NlsProblem(grid=grid, beta=1.0, u0=lambda x: np.zeros_like(x, dtype=complex),
+                         C0=1.0)
+    tables = build_nls_tables(grid, spectral_laplacian_eigenvalues(grid), 0.05)
+    with pytest.raises(SolverError, match=r"^<\|u'\|\^4, 1> \+ C0 = -1 is not positive$"):
+        eavf_step_nls(nls_init(problem), tables, dataclasses.replace(problem, C0=-1.0),
+                      FixedPointConfig())
+
+
 def readme_problem():
     # README's library example, with the chord mean so that eavfs can step it too
     grid = make_grid(-20.0, 20.0, 400, dim=1)

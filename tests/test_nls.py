@@ -207,9 +207,9 @@ def test_step_closes_on_the_half_step_auxiliary_value(family):
     assert new.q - state.q == pytest.approx(increment / (2.0 * np.sqrt(s2)), abs=1e-12)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_step_rejects_a_singular_closure():
-    # scale sigma so that Re<gamma, Phi gamma> = 1: the denominator of q^{n+1/2} vanishes
+def closure_with_gap(gap):
+    """(state, tables, problem) whose closure has 1 - Re<gamma, Phi gamma> = gap, up to
+    roundoff: sigma scaled by (1 - gap) / Re<gamma, Phi gamma>, which is linear in sigma."""
     grid = make_grid(0, 2 * np.pi, 8, 1)
     problem = NlsProblem(grid=grid, beta=2.0, u0=lambda x: np.zeros_like(x, dtype=complex),
                          C0=0.5)
@@ -219,13 +219,31 @@ def test_step_rejects_a_singular_closure():
     phi_gamma = 1j * problem.beta * tables.tau * apply_multipliers(gamma, tables.sigma, grid)
     re_a = grid.cell * np.vdot(phi_gamma, gamma).real
     assert re_a > 0.0
-    singular = dataclasses.replace(tables, sigma=tables.sigma / re_a)
-    with pytest.raises(SolverError) as err:
-        nls_step(state, singular, problem)
-    message = re.fullmatch(r"closure is singular \(1 - Re<gamma, Phi gamma> = (\S+)\)",
-                           str(err.value))
-    assert message is not None, str(err.value)
-    assert abs(float(message.group(1))) < 2e-14
+    return state, dataclasses.replace(tables, sigma=tables.sigma * (1.0 - gap) / re_a), problem
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_step_rejects_a_singular_closure():
+    # Re<gamma, Phi gamma> = 1: the denominator of q^{n+1/2} vanishes; at 1e-15 it is
+    # still below the threshold, 1e-14 relative to 1 + |Re<gamma, Phi gamma>|
+    for gap in (0.0, 1e-15):
+        state, singular, problem = closure_with_gap(gap)
+        with pytest.raises(SolverError) as err:
+            nls_step(state, singular, problem)
+        message = re.fullmatch(r"closure is singular \(1 - Re<gamma, Phi gamma> = (\S+)\)",
+                               str(err.value))
+        assert message is not None, str(err.value)
+        assert abs(float(message.group(1)) - gap) < 1e-15
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gap", [1e-9, 1e-12])
+def test_step_solves_a_closure_just_above_the_singular_threshold(gap):
+    # denominators of 1e-9 and 1e-12 are regular: a threshold of 1e-6 would refuse
+    # both, one of 1e-11 the second
+    state, tables, problem = closure_with_gap(gap)
+    new = nls_step(state, tables, problem)
+    assert np.isfinite(new.q) and np.all(np.isfinite(new.u.values))
 
 
 def test_plane_wave_tracks_dispersion_relation():

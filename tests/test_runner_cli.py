@@ -505,17 +505,27 @@ def test_readme_lists_every_manifest_key():
 
 
 def test_csv_headers_match_the_readme(tmp_path, capsys):
-    # the headers are the row dataclasses' field names, so field order is the column order
+    # the headers are the row dataclasses' field names, so field order is the column order;
+    # stdout holds the file's lines (run: its header and last row), then compare's ratio
+    # line and one "wrote" line per file
     section = README.read_text().split("### Output formats", 1)[1]
     base = ["--problem", "sg1d", "--n", "40", "--tau", "0.1", "--t-end", "0.2",
             "--out", str(tmp_path)]
-    assert main(["run", *base]) == 0
-    assert main(["converge", *base, "--levels", "2"]) == 0
-    assert main(["compare", *base]) == 0
-    for name in ("run.csv", "converge.csv", "compare.csv"):
+    for command, flags in (("run", ["--snapshots", "0.1"]), ("converge", ["--levels", "2"]),
+                           ("compare", [])):
+        name = f"{command}.csv"
+        assert main([command, *base, *flags]) == 0
+        lines = (tmp_path / name).read_text().splitlines()
         columns = re.search(rf"`{re.escape(name)}`.*?`(\w+(?:,\w+)+)`", section, re.S).group(1)
-        assert (tmp_path / name).read_text().splitlines()[0] == columns, name
-    capsys.readouterr()
+        assert lines[0] == columns, name
+        rows = [lines[0], lines[-1]] if command == "run" else lines
+        out = capsys.readouterr().out.splitlines()
+        assert out[:len(rows)] == rows, name
+        tail = out[len(rows):]
+        if command == "compare":
+            assert re.fullmatch(r"wall-time ratio eavfs/esavs = \d+\.\d\d", tail.pop(0))
+        files = [tmp_path / "snapshot_t0.1.dat"] if command == "run" else []
+        assert tail == [f"wrote {path}" for path in [*files, tmp_path / name]], name
 
 
 # ---------------------------------------------------------------- failure paths
@@ -561,6 +571,19 @@ def test_cli_nonfinite_initial_radicand_is_a_config_error(problem, c0, capsys):
     err = capsys.readouterr().err
     assert err.startswith("expsav: config error:")
     assert f"= {c0} is not finite and positive" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scheme,radicand", [("esavs", "uhat"), ("eavfs", "u'")])
+def test_cli_radicand_that_turns_negative_is_a_solver_failure(scheme, radicand, capsys):
+    # C0 < 0 passes set-up, where <G(u0), 1> + C0 > 0, and the radicand of q turns
+    # negative at a later step; both schemes name it, as they do under python -O
+    assert main(["run", "--problem", "kg2d_cubic", "--n", "32", "--c0", "-0.766",
+                 "--t-end", "8", "--scheme", scheme]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(rf"expsav: solver failure: <G\({re.escape(radicand)}\), 1> \+ C0 = "
+                        r"-\d\S* is not positive\n", err), err
 
 
 @pytest.mark.parametrize("flags,manifest,field", [
